@@ -114,7 +114,7 @@ def load_config(path: str) -> DaemonConfig:
 
 
 class Daemon:
-    """One daemon instance; create, then ``start()`` (or ``run()`` to block)."""
+    """One daemon instance; create, then ``start()``; ``shutdown()`` to stop."""
 
     def __init__(self, config: DaemonConfig, *, clock=time.monotonic):
         self.config = config
@@ -158,18 +158,6 @@ class Daemon:
             thread = threading.Thread(target=target, name=name, daemon=True)
             thread.start()
             self._threads.append(thread)
-
-    def run(self) -> None:
-        """start(), then block until SIGTERM/SIGINT, then shut down."""
-        self.start()
-
-        def on_signal(signum, frame):
-            self._stop.set()
-
-        signal.signal(signal.SIGTERM, on_signal)
-        signal.signal(signal.SIGINT, on_signal)
-        self._stop.wait()
-        self.shutdown()
 
     def shutdown(self) -> None:
         """Stop loops, kill child processes, drain the journal, release sockets."""
@@ -479,18 +467,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         daemon = Daemon(config)
+
+        # Installed before start(): a signal sent as soon as the banner is
+        # read must still run shutdown().
+        def on_signal(signum, frame):
+            daemon._stop.set()
+
+        signal.signal(signal.SIGTERM, on_signal)
+        signal.signal(signal.SIGINT, on_signal)
         daemon.start()
     except (ConfigError, BindFailed, JournalCorrupt) as exc:
         print(f"miniqd: {exc}", file=sys.stderr)
         return 1
     host, port = daemon.bound_address
     print(f"miniqd listening on {host}:{port}", flush=True)
-
-    def on_signal(signum, frame):
-        daemon._stop.set()
-
-    signal.signal(signal.SIGTERM, on_signal)
-    signal.signal(signal.SIGINT, on_signal)
     daemon._stop.wait()
     daemon.shutdown()
     return 0

@@ -115,10 +115,6 @@ class BindFailed(MiniqError):
     code = "bind-failed"
 
 
-class AuthFailed(MiniqError):
-    code = "auth-failed"
-
-
 class ProtocolError(MiniqError):
     code = "protocol-error"
 

@@ -145,7 +145,6 @@ class Journal:
 class RecoveredState:
     cluster: ClusterState
     lost_sessions: list[tuple[str, float]]  # (name, created_at)
-    next_seq: int
 
 
 def recover(path: str, nodes: list[Node]) -> RecoveredState:
@@ -201,7 +200,6 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
     return RecoveredState(
         cluster=cluster,
         lost_sessions=sorted(sessions_open.items()),
-        next_seq=len(entries) + 1,
     )
 
 

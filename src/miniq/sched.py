@@ -145,48 +145,25 @@ class StatusRow:
             "limit_s": self.limit_s,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StatusRow":
-        return cls(
-            id=d["id"],
-            name=d["name"],
-            state=d["state"],
-            nodes=d["nodes"],
-            slots_per_node=d["slots_per_node"],
-            elapsed_s=d["elapsed_s"],
-            limit_s=d["limit_s"],
-        )
 
-
-def first_fit(request: ResourceRequest, nodes: list[Node]) -> Allocation | None:
+def first_fit(
+    request: ResourceRequest, nodes: list[Node], free: dict[str, int] | None = None
+) -> Allocation | None:
     """Pick the first ``request.nodes`` nodes that each hold a full slot group.
 
     Scans in configuration order; a node qualifies if it has at least
     ``slots_per_node`` free slots and carries every requested feature.  Slots
-    are never aggregated across nodes.  Returns None when no placement exists.
+    are never aggregated across nodes.  ``free`` (node id -> free slots)
+    probes a hypothetical state instead of each node's own ``slots_free``.
+    Returns None when no placement exists.
     """
     needed = request.nodes
     slots = request.slots_per_node
     features = request.features
     chosen: Allocation = {}
     for node in nodes:
-        if node.slots_free >= slots and features <= node.features:
-            chosen[node.id] = slots
-            if len(chosen) == needed:
-                return chosen
-    return None
-
-
-def _fits_hypothetical(
-    request: ResourceRequest, nodes: list[Node], free: dict[str, int]
-) -> Allocation | None:
-    """first_fit against an alternative free-slot map (same scan order)."""
-    needed = request.nodes
-    slots = request.slots_per_node
-    features = request.features
-    chosen: Allocation = {}
-    for node in nodes:
-        if free[node.id] >= slots and features <= node.features:
+        available = node.slots_free if free is None else free[node.id]
+        if available >= slots and features <= node.features:
             chosen[node.id] = slots
             if len(chosen) == needed:
                 return chosen
@@ -202,15 +179,14 @@ def shadow_time(head_request: ResourceRequest, state: "ClusterState") -> tuple[f
     case: the head already fits), then at each release instant in order.
     """
     free = {node.id: node.slots_free for node in state.nodes}
-    alloc = _fits_hypothetical(head_request, state.nodes, free)
+    alloc = first_fit(head_request, state.nodes, free)
     if alloc is not None:
         return state.clock, frozenset(alloc)
 
-    releases: list[tuple[float, Allocation]] = []
-    for rec in state.jobs.values():
-        if rec.state is JobStatus.RUNNING:
-            releases.append((rec.start_time + rec.spec.walltime_s, rec.allocation))
-    releases.sort(key=lambda item: item[0])
+    releases = sorted(
+        ((rec.start_time + rec.spec.walltime_s, rec.allocation) for rec in state.running.values()),
+        key=lambda item: item[0],
+    )
 
     # Apply every release sharing an instant before probing: the reservation
     # must reflect the full state at that instant, not a mid-instant view.
@@ -221,7 +197,7 @@ def shadow_time(head_request: ResourceRequest, state: "ClusterState") -> tuple[f
             for node_id, slots in releases[i][1].items():
                 free[node_id] += slots
             i += 1
-        alloc = _fits_hypothetical(head_request, state.nodes, free)
+        alloc = first_fit(head_request, state.nodes, free)
         if alloc is not None:
             return when, frozenset(alloc)
     raise Unsatisfiable("head request cannot fit even on an idle cluster")
@@ -236,6 +212,7 @@ class ClusterState:
         self.nodes = nodes
         self.queue: list[int] = []
         self.jobs: dict[int, JobRecord] = {}
+        self.running: dict[int, JobRecord] = {}  # the Running subset of jobs
         self.clock = clock_start
         self._next_id = 1
         self._by_id = {node.id: node for node in nodes}
@@ -295,10 +272,17 @@ class ClusterState:
         if backfill and len(self.queue) > 1:
             head = self.jobs[self.queue[0]]
             shadow, reserved = shadow_time(head.spec.resources, self)
+            # Free slots only shrink during the pass, so a shape that found
+            # no placement finds none for the rest of it.
+            unplaceable: set[ResourceRequest] = set()
             for job_id in self.queue[1:]:
                 rec = self.jobs[job_id]
-                allocation = first_fit(rec.spec.resources, self.nodes)
+                request = rec.spec.resources
+                if request in unplaceable:
+                    continue
+                allocation = first_fit(request, self.nodes)
                 if allocation is None:
+                    unplaceable.add(request)
                     continue
                 ends_in_time = now + rec.spec.walltime_s <= shadow
                 if ends_in_time or reserved.isdisjoint(allocation):
@@ -312,6 +296,7 @@ class ClusterState:
         rec.start_time = now
         rec.allocation = allocation
         self.queue.remove(rec.id)
+        self.running[rec.id] = rec
         return StartEvent(job_id=rec.id, allocation=allocation)
 
     # -- lifecycle ----------------------------------------------------- #
@@ -333,6 +318,7 @@ class ClusterState:
         if rec.state is JobStatus.RUNNING:
             for node_id, slots in rec.allocation.items():
                 self._by_id[node_id].slots_free += slots
+            del self.running[job_id]
         else:  # leaving PENDING
             self.queue.remove(job_id)
         rec.state = target
@@ -381,12 +367,17 @@ class ClusterState:
 
     def assert_conservation(self) -> None:
         """slots_total - slots_free on each node equals the slots bound to it
-        by Running jobs; queue holds exactly the Pending ids in ascending order."""
+        by Running jobs; ``running`` holds exactly the Running records; queue
+        holds exactly the Pending ids in ascending order."""
+        running = {jid: rec for jid, rec in self.jobs.items() if rec.state is JobStatus.RUNNING}
+        if self.running != running:
+            raise AssertionError(
+                f"running index {sorted(self.running)} != Running ids {sorted(running)}"
+            )
         bound: dict[str, int] = {node.id: 0 for node in self.nodes}
-        for rec in self.jobs.values():
-            if rec.state is JobStatus.RUNNING:
-                for node_id, slots in rec.allocation.items():
-                    bound[node_id] += slots
+        for rec in running.values():
+            for node_id, slots in rec.allocation.items():
+                bound[node_id] += slots
         for node in self.nodes:
             used = node.slots_total - node.slots_free
             if used != bound[node.id]:

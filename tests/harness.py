@@ -7,9 +7,11 @@ Durations equal walltime bounds, matching the reference simulator's world.
 
 from __future__ import annotations
 
+import heapq
+
 from conftest import make_spec
 from miniq.errors import Unsatisfiable
-from miniq.sched import ClusterState, JobStatus, Node, Outcome
+from miniq.sched import ClusterState, Node, Outcome
 
 
 def run_cluster(
@@ -43,10 +45,13 @@ def run_cluster(
 
     starts: dict[int, int] = {}
     blocked_heads: list[int] = []
+    ends: list[tuple[int, int]] = []  # (completion instant, job id)
 
-    def record(events, t) -> bool:
+    def run_pass(t) -> bool:
+        events = state.tick(t, backfill=backfill)
         for event in events:
             starts[index_of[event.job_id]] = t
+            heapq.heappush(ends, (t + state.jobs[event.job_id].spec.walltime_s, event.job_id))
         if state.queue:
             head_index = index_of[state.queue[0]]
             if head_index not in blocked_heads:
@@ -57,23 +62,14 @@ def run_cluster(
     # instant right after any pass that started something (a fresh start can
     # unblock a backfill candidate one tick later, e.g. by changing which
     # nodes first-fit would hand it).  A pass on unchanged state starts
-    # nothing, so every other instant is safely skipped.
-    pending: set[int] = set()
-    if record(state.tick(0, backfill=backfill), 0):
-        pending.add(1)
-    while state.queue or any(r.state is JobStatus.RUNNING for r in state.jobs.values()):
-        ends = {
-            int(rec.start_time) + rec.spec.walltime_s
-            for rec in state.jobs.values()
-            if rec.state is JobStatus.RUNNING
-        }
-        assert ends or pending, "queue stuck with nothing running"
-        next_t = min(pending | ends)
-        for rec in list(state.jobs.values()):
-            if rec.state is JobStatus.RUNNING and int(rec.start_time) + rec.spec.walltime_s == next_t:
-                state.transition(rec.id, Outcome.exit(0), next_t)
-        pending = {t for t in pending if t > next_t}
-        if record(state.tick(next_t, backfill=backfill), next_t):
-            pending.add(next_t + 1)
+    # nothing, so every other instant is safely skipped.  A retry instant is
+    # the one right after the last pass, so no completion comes before it.
+    retry_at = 1 if run_pass(0) else None
+    while state.queue or ends:
+        assert ends or retry_at is not None, "queue stuck with nothing running"
+        next_t = ends[0][0] if retry_at is None else retry_at
+        while ends and ends[0][0] == next_t:
+            state.transition(heapq.heappop(ends)[1], Outcome.exit(0), next_t)
+        retry_at = next_t + 1 if run_pass(next_t) else None
 
     return starts, blocked_heads

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -17,6 +20,28 @@ from miniq.journal import read_entries
 from miniq.sched import JobStatus, Node
 
 TOKEN = "hunter2"
+
+SIGTERM_AT_BANNER = """
+import os, signal, sys
+from miniq import daemon
+
+class SignalOnBanner:
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text):
+        written = self.stream.write(text)
+        if text.startswith("miniqd listening on "):
+            self.stream.flush()
+            os.kill(os.getpid(), signal.SIGTERM)
+        return written
+
+    def flush(self):
+        self.stream.flush()
+
+sys.stdout = SignalOnBanner(sys.stdout)
+sys.exit(daemon.main(sys.argv[1:]))
+"""
 
 
 def daemon_config(tmp_path, *, port: int = 0, slots: int = 2, nodes: int = 2,
@@ -384,6 +409,24 @@ class TestServeLifecycle:
             assert second.state.queue == [pending_id]
         finally:
             second.shutdown()
+
+    def test_sigterm_right_after_banner_shuts_down_cleanly(self, tmp_path):
+        # The daemon signals itself the moment it writes its banner, the
+        # earliest instant a client reading that line could send SIGTERM.
+        config_path = tmp_path / "miniqd.json"
+        config_path.write_text(json.dumps({
+            "listen": "127.0.0.1:0",
+            "token": TOKEN,
+            "nodes": [{"id": "n1", "slots": 1}],
+            "journal": str(tmp_path / "journal.ndjson"),
+            "workdir": str(tmp_path / "work"),
+        }))
+        proc = subprocess.run(
+            [sys.executable, "-c", SIGTERM_AT_BANNER, "--config", str(config_path)],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.stdout.startswith("miniqd listening on "), (proc.stdout, proc.stderr)
+        assert proc.returncode == 0, proc.stderr
 
     def test_fresh_journal_starts_empty(self, daemon):
         assert daemon.state.jobs == {}

@@ -10,6 +10,7 @@ import pytest
 import refsim
 from conftest import make_cluster, make_spec
 from harness import run_cluster
+from miniq import sched
 from miniq.errors import InvalidTransition, NoSuchJob, Unsatisfiable
 from miniq.sched import (
     ClusterState,
@@ -80,6 +81,26 @@ class TestFirstFit:
         )
         assert alloc == {"gpu1": 2}
 
+    def test_free_map_scans_like_node_counts(self):
+        # A free-slot map must be read in configuration order exactly as the
+        # nodes' own counts are; the nodes' counts are zeroed so that only
+        # the map can place anything.
+        rng = random.Random(2024)
+        feature_pool = [frozenset(), frozenset({"gpu"})]
+        for _ in range(500):
+            count = rng.randrange(1, 6)
+            free = [rng.randrange(0, 5) for _ in range(count)]
+            feats = [rng.choice(feature_pool) for _ in range(count)]
+            live = [Node(id=f"n{i + 1}", slots_total=4, features=feats[i], slots_free=free[i])
+                    for i in range(count)]
+            zeroed = [Node(id=f"n{i + 1}", slots_total=4, features=feats[i], slots_free=0)
+                      for i in range(count)]
+            request = ResourceRequest(nodes=rng.randrange(1, count + 1),
+                                      slots_per_node=rng.randrange(1, 5),
+                                      features=rng.choice(feature_pool))
+            free_map = {node.id: slots for node, slots in zip(live, free)}
+            assert first_fit(request, zeroed, free_map) == first_fit(request, live)
+
 
 def brute_force_shadow(state: ClusterState, request: ResourceRequest, horizon: int) -> int:
     """Oracle for shadow_time: scan each instant, releasing finished jobs."""
@@ -122,6 +143,33 @@ class TestShadowTime:
         when, reserved = shadow_time(head, state)
         assert when == expected == 100
         assert reserved == {"n1", "n2"}
+
+    def test_finished_history_does_not_change_reservation(self):
+        def blocked_state(history: int) -> ClusterState:
+            # ``history`` finished jobs (every fifth cancelled while Pending),
+            # then two jobs running until t=30 and t=70.
+            state = make_cluster(2, 2, 2)
+            outcomes = [Outcome.exit(0), Outcome.timeout(), Outcome.cancel(),
+                        Outcome.daemon_failure("x")]
+            for i in range(history):
+                job_id = state.submit(make_spec(nodes=3, slots=2, walltime_s=5), "/tmp", 0)
+                if i % 5:
+                    state.tick(0)
+                    state.transition(job_id, outcomes[i % len(outcomes)], 0)
+                else:
+                    state.transition(job_id, Outcome.cancel(), 0)
+            state.submit(make_spec(nodes=1, slots=2, walltime_s=30), "/tmp", 0)
+            state.submit(make_spec(nodes=2, slots=1, walltime_s=70), "/tmp", 0)
+            state.tick(0)
+            assert len(state.running) == 2
+            return state
+
+        head = ResourceRequest(nodes=3, slots_per_node=2)
+        fresh = blocked_state(0)
+        old = blocked_state(500)
+        assert len(old.jobs) == 502
+        expected = brute_force_shadow(fresh, head, horizon=200)
+        assert shadow_time(head, fresh) == shadow_time(head, old) == (expected, {"n1", "n2", "n3"})
 
     def test_head_already_fits_returns_now(self):
         state = make_cluster(4)
@@ -181,6 +229,30 @@ class TestTick:
         assert [e.job_id for e in events] == [long_small]
         assert state.jobs[head].state is JobStatus.PENDING
         assert state.jobs[blocker].state is JobStatus.RUNNING
+
+    def test_unplaceable_shape_probed_once_per_pass(self, monkeypatch):
+        # n1 is held until t=100 and reserved for the head.  Two queued jobs
+        # want two 2-slot groups, which only n2 can give: no placement.  A
+        # job of another shape behind them fits on n2 and must still start.
+        state = make_cluster(4, 2)
+        state.submit(make_spec(nodes=1, slots=4, walltime_s=100), "/tmp", 0)
+        state.tick(0)
+        head = state.submit(make_spec(nodes=1, slots=4, walltime_s=10), "/tmp", 1)
+        wide = [state.submit(make_spec(nodes=2, slots=2, walltime_s=5), "/tmp", 1)
+                for _ in range(2)]
+        small = state.submit(make_spec(nodes=1, slots=2, walltime_s=500), "/tmp", 1)
+        probed = []
+
+        def counting_first_fit(request, nodes, free=None):
+            probed.append(request)
+            return first_fit(request, nodes, free)
+
+        monkeypatch.setattr(sched, "first_fit", counting_first_fit)
+        events = state.tick(5)
+        assert [e.job_id for e in events] == [small]
+        assert [state.jobs[j].state for j in (head, *wide)] == [JobStatus.PENDING] * 3
+        assert probed.count(ResourceRequest(nodes=2, slots_per_node=2)) == 1
+        state.assert_conservation()
 
     def test_clock_must_not_go_backwards(self, two_node_cluster):
         two_node_cluster.tick(10)
