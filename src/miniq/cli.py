@@ -21,7 +21,7 @@ from pathlib import Path
 from . import protocol
 from .errors import ScriptError
 from .jobspec import Dialect, parse_script, render_walltime
-from .protocol import read_message, send_message
+from .protocol import DEFAULT_SERVER, TOKEN_ENV_VAR, read_message, send_message
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -30,10 +30,8 @@ EXIT_UNSAT = 3
 EXIT_TARGET = 4
 
 SERVER_ENV_VAR = "MINIQ_SERVER"
-TOKEN_ENV_VAR = "MINIQ_TOKEN"
 CONFIG_ENV_VAR = "MINIQ_CONFIG"
 DEFAULT_CONFIG_PATH = "~/.miniq.json"
-DEFAULT_SERVER = "127.0.0.1:7075"
 
 DETACH_KEY_WINDOW_S = 1.0
 

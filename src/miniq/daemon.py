@@ -45,8 +45,6 @@ from .runtime import (
 )
 from .sched import ClusterState, JobStatus, Node, Outcome, status_from_code
 
-TOKEN_ENV_VAR = "MINIQ_TOKEN"
-
 DEFAULT_TICK_INTERVAL_S = 0.2
 MIN_TICK_INTERVAL_S = 0.01
 
@@ -89,7 +87,7 @@ def load_config(path: str) -> DaemonConfig:
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
-    host, port = protocol.parse_address(doc.get("listen", "127.0.0.1"))
+    host, port = protocol.parse_address(doc.get("listen", protocol.DEFAULT_SERVER))
     nodes = []
     for spec in doc.get("nodes", []):
         nodes.append(
@@ -105,7 +103,7 @@ def load_config(path: str) -> DaemonConfig:
     return DaemonConfig(
         host=host,
         port=port,
-        token=doc.get("token") or os.environ.get(TOKEN_ENV_VAR, ""),
+        token=doc.get("token") or os.environ.get(protocol.TOKEN_ENV_VAR, ""),
         nodes=nodes,
         journal_path=resolve(journal_path),
         workdir_root=resolve(doc.get("workdir", ".")),
@@ -126,7 +124,9 @@ class Daemon:
         os.makedirs(journal_dir, exist_ok=True)
         recovered = journal_mod.recover(config.journal_path, config.nodes)
         self.state: ClusterState = recovered.cluster
-        self.journal = journal_mod.Journal.open(config.journal_path)
+        self.journal = journal_mod.Journal(
+            config.journal_path, next_seq=recovered.next_seq
+        )
         self.sessions = SessionRegistry(cwd=config.workdir_root)
         for name, created_at in recovered.lost_sessions:
             self.sessions.adopt_lost(name, created_at)
@@ -241,8 +241,9 @@ class Daemon:
     def handle_request(self, message: dict):
         """Dispatch one request; returns (response, attachment or None).
 
-        The attachment is non-None only for a successful attach, which the
-        connection then serves as a frame stream.
+        The response is a message, or for ``status`` its line already
+        encoded.  The attachment is non-None only for a successful attach,
+        which the connection then serves as a frame stream.
         """
         kind = message.get("type")
         handler = self._handlers.get(kind)
@@ -291,7 +292,10 @@ class Daemon:
         job_id = message.get("job_id")
         with self._mu:
             rows = self.state.snapshot(self._clock(), states=states, job_id=job_id)
-        return ok({"rows": [row.to_dict() for row in rows]}), None
+        # Encoded outside the lock; the same bytes as send_message would
+        # write for ok({"rows": [row.to_dict() for row in rows]}).
+        texts = ",".join([row.json for row in rows])
+        return '{"ok":true,"code":"ok","payload":{"rows":[' + texts + "]}}\n", None
 
     def _handle_cancel(self, message: dict):
         job_id = message.get("job_id")

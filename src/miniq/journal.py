@@ -43,21 +43,41 @@ class JournalEntry:
         return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
-def read_entries(path: str) -> list[JournalEntry]:
+class Entries(list):
+    """A journal file's entries in seq order, and what its tail needs before
+    the next append: ``torn_at`` is the offset of a torn final write to cut
+    off, ``unterminated`` marks a complete last entry whose newline was never
+    written."""
+
+    torn_at: int | None = None
+    unterminated: bool = False
+
+
+def read_entries(path: str) -> Entries:
     """Parse the journal, enforcing the gapless-seq invariant.
 
     An empty or missing file is an empty journal.  Only an incomplete final
     line is forgiven (its entry was never acknowledged to any client).
     """
-    entries: list[JournalEntry] = []
-    if not os.path.exists(path):
+    entries = Entries()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
         return entries
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw:
-        return entries
-    lines = raw.split(b"\n")
-    trailing = lines.pop()  # text after the last newline; must be empty
+    end = raw.rfind(b"\n") + 1
+    body, trailing = raw[:end], raw[end:]  # trailing: text after the last newline
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError:
+        text = None
+    if text is None or "\x00" in text or "\ufeff" in text:
+        # json.loads would not read some line as plain UTF-8 (a BOM, or NULs
+        # that mean UTF-16/32): let it decode each line as it always has.
+        lines = body.split(b"\n")
+    else:
+        lines = text.split("\n")
+    lines.pop()  # the empty piece after the last newline
     for index, line in enumerate(lines):
         if not line.strip():
             raise JournalCorrupt(f"blank journal line at {index + 1}", seq=index + 1)
@@ -66,33 +86,26 @@ def read_entries(path: str) -> list[JournalEntry]:
         except ValueError:
             raise JournalCorrupt(f"unparsable journal line at {index + 1}", seq=index + 1) from None
         entries.append(_entry_from_doc(doc, index))
-    if trailing.strip():
+    if trailing:
         try:
             doc = json.loads(trailing)
         except ValueError:
-            return entries  # torn final line: crash mid-append, discard
-        entries.append(_entry_from_doc(doc, len(entries)))
+            entries.torn_at = end  # torn final line: crash mid-append, discard
+        else:
+            entries.append(_entry_from_doc(doc, len(entries)))
+            entries.unterminated = True
     return entries
 
 
-def _repair_tail(path: str, entries: list[JournalEntry]) -> None:
-    """Make the file safe to append to after a torn final write.
-
-    If the last line is a complete entry missing its newline, add the
-    newline; if it is garbage that read_entries discarded, truncate it.
-    """
-    if not os.path.exists(path):
+def _repair_tail(path: str, entries: Entries) -> None:
+    """Make the file safe to append to after a torn final write: cut off the
+    text read_entries discarded, or add the newline a complete last entry
+    lacks."""
+    if entries.torn_at is None and not entries.unterminated:
         return
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw or raw.endswith(b"\n"):
-        return
-    trailing = raw.rsplit(b"\n", 1)[-1]
     with open(path, "r+b") as fh:
-        try:
-            json.loads(trailing)
-        except ValueError:
-            fh.truncate(len(raw) - len(trailing))
+        if entries.torn_at is not None:
+            fh.truncate(entries.torn_at)
         else:
             fh.seek(0, os.SEEK_END)
             fh.write(b"\n")
@@ -100,16 +113,18 @@ def _repair_tail(path: str, entries: list[JournalEntry]) -> None:
         os.fsync(fh.fileno())
 
 
-def _entry_from_doc(doc: dict, index: int) -> JournalEntry:
+def _entry_from_doc(doc, index: int) -> JournalEntry:
     expected = index + 1
-    seq = doc.get("seq")
+    if not isinstance(doc, dict):
+        raise JournalCorrupt(f"journal line {expected} is not an object", seq=expected)
+    seq = doc.pop("seq", None)
     if seq != expected:
         raise JournalCorrupt(f"journal gap: expected seq {expected}, found {seq}", seq=expected)
-    event = doc.get("event")
+    event = doc.pop("event", None)
     if event not in _KNOWN_EVENTS:
         raise JournalCorrupt(f"unknown journal event {event!r} at seq {seq}", seq=seq)
-    data = {k: v for k, v in doc.items() if k not in ("seq", "at", "event")}
-    return JournalEntry(seq=seq, at=doc.get("at", 0.0), event=event, data=data)
+    at = doc.pop("at", 0.0)
+    return JournalEntry(seq=seq, at=at, event=event, data=doc)
 
 
 class Journal:
@@ -145,6 +160,7 @@ class Journal:
 class RecoveredState:
     cluster: ClusterState
     lost_sessions: list[tuple[str, float]]  # (name, created_at)
+    next_seq: int  # the seq of the next entry to append
 
 
 def recover(path: str, nodes: list[Node]) -> RecoveredState:
@@ -152,7 +168,10 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
 
     Jobs Running at the crash (Started without Ended) become
     Failed("daemon-restart"); sessions without a SessionEnded entry are
-    reported as lost.  Replay never writes to the journal.
+    reported as lost.  The file is read once.  Replay writes no entry: once
+    it succeeds, it only cuts off a torn final write or adds a complete last
+    entry's missing newline, so that ``Journal(path, next_seq=...)`` can
+    append.
     """
     entries = read_entries(path)
     cluster = ClusterState(nodes)
@@ -162,6 +181,10 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
         data = entry.data
         if entry.event == EVENT_SUBMITTED:
             job_id = data["job_id"]
+            if job_id < cluster._next_id:  # ids are assigned in increasing order
+                raise JournalCorrupt(
+                    f"entry {entry.seq} submits job {job_id} out of id order", seq=entry.seq
+                )
             rec = JobRecord(
                 id=job_id,
                 spec=JobSpec.from_dict(data["spec"]),
@@ -170,7 +193,7 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
             )
             cluster.jobs[job_id] = rec
             cluster.queue.append(job_id)
-            cluster._next_id = max(cluster._next_id, job_id + 1)
+            cluster._next_id = job_id + 1
         elif entry.event == EVENT_STARTED:
             rec = _known_job(cluster, data["job_id"], entry.seq)
             rec.state = JobStatus.RUNNING
@@ -197,9 +220,11 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
             rec.state = JobStatus.FAILED
             rec.reason = "daemon-restart"
 
+    _repair_tail(path, entries)
     return RecoveredState(
         cluster=cluster,
         lost_sessions=sorted(sessions_open.items()),
+        next_seq=len(entries) + 1,
     )
 
 

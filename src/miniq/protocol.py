@@ -16,12 +16,17 @@ from .errors import ProtocolError
 
 MAX_LINE_BYTES = 16 * 1024 * 1024  # scripts and frames comfortably fit
 
+DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7075
+DEFAULT_SERVER = f"{DEFAULT_HOST}:{DEFAULT_PORT}"
+TOKEN_ENV_VAR = "MINIQ_TOKEN"
 
 
-def send_message(sock: socket.socket, message: dict) -> None:
-    line = json.dumps(message, separators=(",", ":")) + "\n"
-    sock.sendall(line.encode("utf-8"))
+def send_message(sock: socket.socket, message: dict | str) -> None:
+    """Send one message; a ``str`` is a line the caller already encoded."""
+    if not isinstance(message, str):
+        message = json.dumps(message, separators=(",", ":")) + "\n"
+    sock.sendall(message.encode("utf-8"))
 
 
 def read_message(reader) -> dict | None:
@@ -63,12 +68,12 @@ def end_frame(reason: str) -> dict:
 
 
 def parse_address(text: str) -> tuple[str, int]:
-    """Parse ``host:port`` (port optional, default 7075)."""
+    """Parse ``host:port`` (host and port optional, default DEFAULT_SERVER)."""
     if ":" in text:
         host, _, port_text = text.rpartition(":")
         try:
             port = int(port_text)
         except ValueError:
             raise ProtocolError(f"bad port in address {text!r}") from None
-        return host or "127.0.0.1", port
-    return text or "127.0.0.1", DEFAULT_PORT
+        return host or DEFAULT_HOST, port
+    return text or DEFAULT_HOST, DEFAULT_PORT

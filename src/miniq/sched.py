@@ -14,7 +14,9 @@ state mutation is meant to be serialized by a single writer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InvalidTransition, NoSuchJob, Unsatisfiable
 from .jobspec import JobSpec, ResourceRequest
@@ -116,6 +118,8 @@ class JobRecord:
     allocation: Allocation | None = None
     exit_code: int | None = None
     reason: str | None = None
+    # The status row of a finished job, which never changes again.
+    row: StatusRow | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,36 @@ class StatusRow:
             "elapsed_s": self.elapsed_s,
             "limit_s": self.limit_s,
         }
+
+    @cached_property
+    def json(self) -> str:
+        """The row as compact JSON, as ``json.dumps`` writes it on the wire."""
+        return json.dumps(self.to_dict(), separators=(",", ":"))
+
+
+def status_row(rec: JobRecord, now: float) -> StatusRow:
+    """The job's status row at ``now``; a finished job's row is kept on its
+    record and reused."""
+    if rec.row is not None:
+        return rec.row
+    if rec.state is JobStatus.RUNNING:
+        elapsed = int(now - rec.start_time)
+    elif rec.start_time is not None and rec.end_time is not None:
+        elapsed = int(rec.end_time - rec.start_time)
+    else:
+        elapsed = None
+    row = StatusRow(
+        id=rec.id,
+        name=rec.spec.name,
+        state=rec.state.code,
+        nodes=rec.spec.resources.nodes,
+        slots_per_node=rec.spec.resources.slots_per_node,
+        elapsed_s=elapsed,
+        limit_s=rec.spec.walltime_s,
+    )
+    if rec.state in TERMINAL_STATES:
+        rec.row = row
+    return row
 
 
 def first_fit(
@@ -216,16 +250,25 @@ class ClusterState:
         self.clock = clock_start
         self._next_id = 1
         self._by_id = {node.id: node for node in nodes}
+        # Shapes known to fit an idle cluster.  Nodes never change their
+        # slots_total or features, so the answer holds for good; only True is
+        # kept, which bounds the set by the node inventory.
+        self._satisfiable: set[ResourceRequest] = set()
 
     # -- submission -------------------------------------------------- #
 
     def satisfiable(self, request: ResourceRequest) -> bool:
+        if request in self._satisfiable:
+            return True
         eligible = sum(
             1
             for node in self.nodes
             if node.slots_total >= request.slots_per_node and request.features <= node.features
         )
-        return eligible >= request.nodes
+        if eligible < request.nodes:
+            return False
+        self._satisfiable.add(request)
+        return True
 
     def submit(self, spec: JobSpec, submit_dir: str, now: float) -> int:
         """Append a new Pending job; ids are strictly increasing from 1.
@@ -336,39 +379,33 @@ class ClusterState:
         states: set[JobStatus] | None = None,
         job_id: int | None = None,
     ) -> list[StatusRow]:
-        """Status rows ascending by id, optionally filtered by state or id."""
-        rows: list[StatusRow] = []
-        for jid in sorted(self.jobs):
-            rec = self.jobs[jid]
-            if job_id is not None and jid != job_id:
-                continue
-            if states is not None and rec.state not in states:
-                continue
-            if rec.state is JobStatus.RUNNING:
-                elapsed = int(now - rec.start_time)
-            elif rec.start_time is not None and rec.end_time is not None:
-                elapsed = int(rec.end_time - rec.start_time)
-            else:
-                elapsed = None
-            rows.append(
-                StatusRow(
-                    id=jid,
-                    name=rec.spec.name,
-                    state=rec.state.code,
-                    nodes=rec.spec.resources.nodes,
-                    slots_per_node=rec.spec.resources.slots_per_node,
-                    elapsed_s=elapsed,
-                    limit_s=rec.spec.walltime_s,
-                )
-            )
-        return rows
+        """Status rows ascending by id, optionally filtered by state or id.
+
+        ``jobs`` holds ids in ascending order (see ``assert_conservation``),
+        so no sort is needed; filters apply before any row is built.
+        """
+        if job_id is None:
+            recs = self.jobs.values()
+        else:
+            try:
+                rec = self.jobs.get(job_id)
+            except TypeError:  # an unhashable id from the wire matches no job
+                rec = None
+            recs = () if rec is None else (rec,)
+        return [
+            status_row(rec, now) for rec in recs if states is None or rec.state in states
+        ]
 
     # -- invariants ------------------------------------------------------ #
 
     def assert_conservation(self) -> None:
         """slots_total - slots_free on each node equals the slots bound to it
-        by Running jobs; ``running`` holds exactly the Running records; queue
-        holds exactly the Pending ids in ascending order."""
+        by Running jobs; ``running`` holds exactly the Running records; jobs
+        iterate in ascending id order; queue holds exactly the Pending ids in
+        ascending order."""
+        ids = list(self.jobs)
+        if ids != sorted(ids):
+            raise AssertionError(f"jobs iterate as {ids}, not in ascending id order")
         running = {jid: rec for jid, rec in self.jobs.items() if rec.state is JobStatus.RUNNING}
         if self.running != running:
             raise AssertionError(
@@ -386,6 +423,6 @@ class ClusterState:
                 )
             if node.slots_free < 0 or node.slots_free > node.slots_total:
                 raise AssertionError(f"node {node.id}: slots_free {node.slots_free} out of range")
-        pending = [jid for jid in sorted(self.jobs) if self.jobs[jid].state is JobStatus.PENDING]
+        pending = [jid for jid, rec in self.jobs.items() if rec.state is JobStatus.PENDING]
         if self.queue != pending:
             raise AssertionError(f"queue {self.queue} != pending ids {pending}")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import builtins
 import json
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -11,13 +13,14 @@ import time
 
 import pytest
 
-from conftest import make_pbs_script, wait_until
+from conftest import make_pbs_script, make_spec, wait_until
+from miniq import journal as journal_mod
 from miniq import protocol
 from miniq.cli import Client, CommandFailed
 from miniq.daemon import Daemon, DaemonConfig
 from miniq.errors import BindFailed, JournalCorrupt
-from miniq.journal import read_entries
-from miniq.sched import JobStatus, Node
+from miniq.journal import EVENT_SESSION_CREATED, Journal, read_entries
+from miniq.sched import JobStatus, Node, Outcome, status_from_code
 
 TOKEN = "hunter2"
 
@@ -274,6 +277,65 @@ class TestLifecycleOverWire:
         assert pending == []
         client.close()
 
+    def test_status_reply_is_json_dumps_of_the_rows(self, tmp_path):
+        daemon = Daemon(daemon_config(tmp_path), clock=lambda: 100.0)
+        try:
+            state = daemon.state
+            for name in ("plain", "caf\u00e9", 'say "hi"', "tab\there", "\u03bb\U0001f600"):
+                state.submit(make_spec(name=name, slots=2), str(tmp_path), 0.0)
+            state.tick(10.0)  # jobs 1 and 2 fill both nodes
+            state.transition(1, Outcome.exit(0), 50.7)
+            state.transition(3, Outcome.cancel(), 60.0)
+            requests = [{}, {"state": "R"}, {"state": "PD"}, {"state": "CD"},
+                        {"job_id": 2}, {"job_id": 99}, {"job_id": [1]}]
+            for extra in requests * 2:  # the second pass serves cached rows
+                line, attachment = daemon.handle_request({"type": "status", **extra})
+                states = {status_from_code(extra["state"])} if "state" in extra else None
+                rows = state.snapshot(100.0, states=states, job_id=extra.get("job_id"))
+                expected = protocol.ok({"rows": [row.to_dict() for row in rows]})
+                assert line == json.dumps(expected, separators=(",", ":")) + "\n", extra
+                assert attachment is None
+            sender, receiver = socket.socketpair()
+            with sender, receiver, receiver.makefile("rb") as reader:
+                protocol.send_message(sender, line)
+                assert reader.readline() == line.encode("utf-8")
+        finally:
+            daemon.shutdown()
+
+    def test_status_rows_same_after_restart(self, tmp_path):
+        first = Daemon(daemon_config(tmp_path))
+        first.start()
+        try:
+            client = connect(first)
+            for name in ("one", "two", "three"):
+                submit_script(client, make_pbs_script(name, 1, 1, 60, body="true"),
+                              str(tmp_path))
+            blocker = submit_script(
+                client, make_pbs_script("blocker", 2, 2, 600, body="sleep 600"),
+                str(tmp_path))["payload"]["job_id"]
+            assert wait_until(lambda: job_state(client, blocker) == "R", 5)
+            waiter = submit_script(client, make_pbs_script("waiter", 1, 1, 60, body="true"),
+                                   str(tmp_path))["payload"]["job_id"]
+            client.request({"type": "cancel", "job_id": waiter})
+            client.request({"type": "cancel", "job_id": blocker})
+            assert wait_until(lambda: all(
+                row["state"] in ("CD", "CA")
+                for row in client.request({"type": "status"})["payload"]["rows"]), 5)
+            before = client.request({"type": "status"})["payload"]["rows"]
+            client.close()
+        finally:
+            first.shutdown()
+        assert [row["state"] for row in before] == ["CD", "CD", "CD", "CA", "CA"]
+
+        second = Daemon(daemon_config(tmp_path))
+        second.start()
+        try:
+            client = connect(second)
+            assert client.request({"type": "status"})["payload"]["rows"] == before
+            client.close()
+        finally:
+            second.shutdown()
+
     def test_walltime_timeout_over_wire(self, daemon, tmp_path):
         client = connect(daemon)
         job_id = submit_script(
@@ -427,6 +489,36 @@ class TestServeLifecycle:
         )
         assert proc.stdout.startswith("miniqd listening on "), (proc.stdout, proc.stderr)
         assert proc.returncode == 0, proc.stderr
+
+    def test_startup_reads_journal_once(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "journal.ndjson")
+        journal = Journal.open(path)
+        journal.append(EVENT_SESSION_CREATED, {"name": "a"}, at=1.0)
+        journal.close()
+        with open(path, "ab") as fh:
+            fh.write(b'{"seq":2,"at":')  # torn by a crash mid-append
+        reads, opens = [], []
+        read_entries_once = journal_mod.read_entries
+
+        def counting_read_entries(read_path):
+            reads.append(read_path)
+            return read_entries_once(read_path)
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if file == path:
+                opens.append(mode)
+            return builtins.open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(journal_mod, "read_entries", counting_read_entries)
+        monkeypatch.setattr(journal_mod, "open", counting_open, raising=False)
+        daemon = Daemon(daemon_config(tmp_path))
+        try:
+            assert reads == [path]
+            assert opens == ["rb", "r+b", "ab"]  # read, cut the torn line, append
+            daemon.journal.append(EVENT_SESSION_CREATED, {"name": "b"}, at=2.0)
+        finally:
+            daemon.shutdown()
+        assert [e.seq for e in read_entries_once(path)] == [1, 2]
 
     def test_fresh_journal_starts_empty(self, daemon):
         assert daemon.state.jobs == {}

@@ -22,6 +22,38 @@ from miniq.journal import (
 from miniq.sched import ClusterState, JobStatus, Node, Outcome
 
 
+def _line(seq: int, name: str = "a") -> bytes:
+    doc = {"seq": seq, "at": 0.0, "event": "session_created", "name": name}
+    return json.dumps(doc, ensure_ascii=False).encode("utf-8") + b"\n"
+
+
+LINE_1 = _line(1)
+_UNICODE_2 = _line(2, name="caf\u00e9")  # the name's last character is two bytes
+
+# What follows LINE_1, and the verdict: ("ok", entries read) or ("corrupt",
+# the seq JournalCorrupt names).
+PARITY_TABLE = [
+    pytest.param(b"\n" + _line(3), ("corrupt", 2), id="blank line"),
+    pytest.param(b" \t\n" + _line(3), ("corrupt", 2), id="whitespace-only line"),
+    pytest.param(b"  " + _line(2)[:-1] + b" \r\n" + _line(3), ("ok", 3),
+                 id="whitespace-padded line"),
+    pytest.param(_line(2)[:-1] + b"x\n" + _line(3), ("corrupt", 2),
+                 id="trailing garbage after an object"),
+    pytest.param(_line(2)[:-1] + _line(3), ("corrupt", 2), id="two objects on one line"),
+    pytest.param(_line(2)[:-9], ("ok", 1), id="torn tail"),
+    pytest.param(_UNICODE_2[:_UNICODE_2.index(b"\xa9")], ("ok", 1),
+                 id="tail torn inside a multibyte character"),
+    pytest.param(b"  ", ("ok", 1), id="whitespace-only tail"),
+    pytest.param(_line(2)[:-1], ("ok", 2), id="complete last entry without its newline"),
+    pytest.param(_UNICODE_2 + _line(3), ("ok", 3), id="non-ASCII entry"),
+    pytest.param(_line(2).replace(b'"a"', b'"\xff"') + _line(3), ("corrupt", 2),
+                 id="invalid UTF-8 inside a line"),
+    pytest.param(b"\xef\xbb\xbf" + _line(2), ("ok", 2), id="byte order mark before a line"),
+    pytest.param(_line(3), ("corrupt", 2), id="gap"),
+    pytest.param(_line(3)[:-1], ("corrupt", 2), id="gap in a tail without its newline"),
+]
+
+
 def fresh_nodes():
     return [Node(id="n1", slots_total=4), Node(id="n2", slots_total=4)]
 
@@ -125,6 +157,41 @@ class TestJournalFile:
     def test_missing_file_is_empty_journal(self, tmp_path):
         assert read_entries(str(tmp_path / "missing")) == []
 
+    def test_non_object_line_is_corrupt(self, tmp_path):
+        path = tmp_path / "j"
+        path.write_bytes(LINE_1 + b"[2]\n")
+        with pytest.raises(JournalCorrupt) as excinfo:
+            read_entries(str(path))
+        assert excinfo.value.seq == 2
+
+    @pytest.mark.parametrize("tail, verdict", PARITY_TABLE)
+    def test_verdict_parity(self, tmp_path, tail, verdict):
+        # Each verdict is the one the per-line bytes parser gave, before the
+        # journal was decoded once as a whole.
+        path = tmp_path / "j"
+        path.write_bytes(LINE_1 + tail)
+        if verdict[0] == "corrupt":
+            with pytest.raises(JournalCorrupt) as excinfo:
+                read_entries(str(path))
+            assert excinfo.value.seq == verdict[1]
+        else:
+            assert [e.seq for e in read_entries(str(path))] == list(range(1, verdict[1] + 1))
+
+    @pytest.mark.parametrize(
+        "tail, verdict", [row for row in PARITY_TABLE if row.values[1][0] == "ok"]
+    )
+    def test_recover_leaves_file_appendable(self, tmp_path, tail, verdict):
+        path = tmp_path / "j"
+        path.write_bytes(LINE_1 + tail)
+        recovered = recover(str(path), fresh_nodes())
+        assert recovered.next_seq == verdict[1] + 1
+        journal = Journal(str(path), next_seq=recovered.next_seq)
+        journal.append(EVENT_SESSION_ENDED, {"name": "a"}, at=9.0)
+        journal.close()
+        entries = read_entries(str(path))
+        assert [e.seq for e in entries] == list(range(1, verdict[1] + 2))
+        assert path.read_bytes().endswith(b"\n")
+
 
 class TestRecover:
     def test_completed_and_pending_jobs(self, tmp_path):
@@ -171,6 +238,18 @@ class TestRecover:
         assert recovered.cluster.jobs == {}
         assert recovered.cluster.queue == []
         assert recovered.lost_sessions == []
+
+    def test_submission_out_of_id_order_is_corrupt(self, tmp_path):
+        path = tmp_path / "j"
+        sim = LiveDaemonSim(path)
+        sim.submit(make_spec())
+        sim.submit(make_spec())
+        sim.journal.close()
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + lines[1].replace(b'"job_id":2', b'"job_id":1'))
+        with pytest.raises(JournalCorrupt) as excinfo:
+            recover(str(path), fresh_nodes())
+        assert excinfo.value.seq == 2
 
     def test_sessions_without_end_are_lost(self, tmp_path):
         path = tmp_path / "j"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import random
 
 import pytest
@@ -50,6 +51,27 @@ class TestSubmit:
         state = make_cluster(8, features=(frozenset({"gpu"}),))
         job_id = state.submit(make_spec(features=frozenset({"gpu"})), "/tmp", now=0)
         assert job_id == 1
+
+    def test_cached_satisfiable_matches_uncached_sum(self):
+        rng = random.Random(2024)
+        pool = ["gpu", "fast", "big"]
+        features = tuple(
+            frozenset(rng.sample(pool, rng.randrange(0, 3))) for _ in range(6)
+        )
+        state = make_cluster(2, 4, 8, 4, 16, 1, features=features)
+        for _ in range(500):
+            request = ResourceRequest(
+                nodes=rng.randrange(1, 8),
+                slots_per_node=rng.randrange(1, 18),
+                features=frozenset(rng.sample(pool, rng.randrange(0, 3))),
+            )
+            eligible = sum(
+                1 for node in state.nodes
+                if node.slots_total >= request.slots_per_node and request.features <= node.features
+            )
+            # Asked twice: once computed, once (for a fitting shape) cached.
+            assert state.satisfiable(request) is (eligible >= request.nodes)
+            assert state.satisfiable(request) is (eligible >= request.nodes)
 
 
 class TestFirstFit:
@@ -382,6 +404,35 @@ class TestSnapshot:
         rows = state.snapshot(now=0)
         assert [r.id for r in rows] == [1, 2, 3, 4, 5]
 
+    def test_row_listed_running_is_listed_finished_after_it_ends(self):
+        state = make_cluster(8)
+        state.submit(make_spec(slots=8, walltime_s=600), "/tmp", 0)
+        state.tick(10)
+        assert [(r.state, r.elapsed_s) for r in state.snapshot(now=40)] == [("R", 30)]
+        state.transition(1, Outcome.exit(0), 55)
+        (row,) = state.snapshot(now=500)
+        assert (row.state, row.elapsed_s) == ("CD", 45)
+        assert state.snapshot(now=900) == [row]
+        assert row.json == json.dumps(row.to_dict(), separators=(",", ":"))
+
+    def test_job_id_builds_one_row(self, monkeypatch):
+        state = make_cluster(8)
+        for _ in range(5000):
+            state.submit(make_spec(), "/tmp", 0)
+        built = []
+        row_class = sched.StatusRow
+
+        def counting_row(**fields):
+            built.append(fields["id"])
+            return row_class(**fields)
+
+        monkeypatch.setattr(sched, "StatusRow", counting_row)
+        assert [r.id for r in state.snapshot(now=0, job_id=2500)] == [2500]
+        assert state.snapshot(now=0, job_id=9999) == []
+        assert state.snapshot(now=0, job_id=[1]) == []  # unhashable, as off the wire
+        assert state.snapshot(now=0, job_id=2500, states={JobStatus.RUNNING}) == []
+        assert built == [2500]
+
 
 class TestOracleAgreement:
     """The production scheduler, driven event-by-event, must match the
@@ -458,4 +509,13 @@ class TestConservation:
                         [Outcome.exit(0), Outcome.timeout(), Outcome.cancel()]
                     )
                     state.transition(job_id, outcome, now)
+            state.assert_conservation()
+
+    def test_jobs_out_of_id_order_are_caught(self):
+        state = make_cluster(8)
+        for _ in range(3):
+            state.submit(make_spec(), "/tmp", 0)
+        state.assert_conservation()
+        state.jobs = {job_id: state.jobs[job_id] for job_id in (2, 1, 3)}
+        with pytest.raises(AssertionError, match="ascending id order"):
             state.assert_conservation()
