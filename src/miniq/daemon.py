@@ -21,7 +21,6 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass
 
 from . import journal as journal_mod
 from . import protocol
@@ -49,23 +48,28 @@ DEFAULT_TICK_INTERVAL_S = 0.2
 MIN_TICK_INTERVAL_S = 0.01
 
 
-@dataclass
 class DaemonConfig:
-    host: str
-    port: int
-    token: str
-    nodes: list[Node]
-    journal_path: str
-    workdir_root: str
-    tick_interval_s: float = DEFAULT_TICK_INTERVAL_S
+    __slots__ = ("host", "port", "token", "nodes", "journal_path", "workdir_root",
+                 "tick_interval_s")
 
-    def __post_init__(self):
-        if not self.token:
+    def __init__(self, host: str, port: int, token: str, nodes: list[Node], journal_path: str,
+                 workdir_root: str, tick_interval_s: float = DEFAULT_TICK_INTERVAL_S):
+        if not token:
             raise ConfigError("auth token must not be empty (set it in the config or MINIQ_TOKEN)")
-        if not self.nodes:
+        if not nodes:
             raise ConfigError("at least one node must be configured")
-        if self.tick_interval_s < MIN_TICK_INTERVAL_S:
+        ids = [node.id for node in nodes]
+        if len(set(ids)) < len(ids):
+            raise ConfigError(f"node ids must be unique, got {ids}")
+        if tick_interval_s < MIN_TICK_INTERVAL_S:
             raise ConfigError(f"tick interval must be >= {MIN_TICK_INTERVAL_S} s")
+        self.host = host
+        self.port = port
+        self.token = token
+        self.nodes = nodes
+        self.journal_path = journal_path
+        self.workdir_root = workdir_root
+        self.tick_interval_s = tick_interval_s
 
 
 def load_config(path: str) -> DaemonConfig:
@@ -88,15 +92,7 @@ def load_config(path: str) -> DaemonConfig:
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
     host, port = protocol.parse_address(doc.get("listen", protocol.DEFAULT_SERVER))
-    nodes = []
-    for spec in doc.get("nodes", []):
-        nodes.append(
-            Node(
-                id=spec["id"],
-                slots_total=int(spec["slots"]),
-                features=frozenset(spec.get("features", ())),
-            )
-        )
+    nodes = [_load_node(entry) for entry in doc.get("nodes", [])]
     journal_path = doc.get("journal")
     if not journal_path:
         raise ConfigError("config needs a journal path")
@@ -109,6 +105,20 @@ def load_config(path: str) -> DaemonConfig:
         workdir_root=resolve(doc.get("workdir", ".")),
         tick_interval_s=float(doc.get("tick_interval_s", DEFAULT_TICK_INTERVAL_S)),
     )
+
+
+def _load_node(entry) -> Node:
+    """A node from its config entry: a string ``id``, an integer ``slots``
+    of at least 1 and an optional list of feature tags."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+        raise ConfigError(f"node entry {entry!r} needs a string id")
+    slots = entry.get("slots")
+    if type(slots) is not int or slots < 1:
+        raise ConfigError(f"node {entry['id']}: slots must be an integer >= 1, got {slots!r}")
+    features = entry.get("features", [])
+    if not isinstance(features, list) or not all(isinstance(tag, str) for tag in features):
+        raise ConfigError(f"node {entry['id']}: features must be a list of strings")
+    return Node(id=entry["id"], slots_total=slots, features=frozenset(features))
 
 
 class Daemon:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     BadName,
@@ -44,8 +44,7 @@ class Dialect(enum.Enum):
     SLURM = "slurm"
 
 
-@dataclass(frozen=True)
-class Directive:
+class Directive(namedtuple("Directive", "key value line_no raw", defaults=("",))):
     """One scheduler instruction extracted from a script line.
 
     ``raw`` keeps the original line so the multiset of input lines can be
@@ -53,57 +52,52 @@ class Directive:
     Directive per comma-separated item, all sharing the same raw line.
     """
 
-    key: str
-    value: str
-    line_no: int
-    raw: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ResourceRequest:
-    nodes: int = 1
-    slots_per_node: int = 1
-    features: frozenset[str] = frozenset()
+class ResourceRequest(namedtuple("ResourceRequest", "nodes slots_per_node features")):
+    """A request shape: ``nodes`` nodes, each with ``slots_per_node`` free
+    slots and every tag in ``features``.  The scheduler keys sets by shape,
+    so hashing and equality are the tuple's own, run in C."""
 
-    def __post_init__(self):
-        if self.nodes < 1 or self.slots_per_node < 1:
+    __slots__ = ()
+
+    def __new__(cls, nodes: int = 1, slots_per_node: int = 1,
+                features: frozenset[str] = frozenset()):
+        if nodes < 1 or slots_per_node < 1:
             raise InvalidResource(
-                f"nodes and slots per node must be >= 1, got {self.nodes}x{self.slots_per_node}"
+                f"nodes and slots per node must be >= 1, got {nodes}x{slots_per_node}"
             )
-        for tag in self.features:
+        for tag in features:
             if not _FEATURE_RE.match(tag):
                 raise InvalidResource(f"feature tag {tag!r} is not lowercase alphanumeric")
+        return tuple.__new__(cls, (nodes, slots_per_node, features))
 
 
-@dataclass(frozen=True)
-class OutputPolicy:
-    stdout_template: str
-    stderr_template: str | None = None
-    merge_stderr: bool = False
+class OutputPolicy(namedtuple("OutputPolicy", "stdout_template stderr_template merge_stderr")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.merge_stderr and self.stderr_template is not None:
+    def __new__(cls, stdout_template: str, stderr_template: str | None = None,
+                merge_stderr: bool = False):
+        if merge_stderr and stderr_template is not None:
             raise BadOutputTemplate("merged stderr cannot also name a stderr file")
-        validate_output_template(self.stdout_template)
-        if self.stderr_template is not None:
-            validate_output_template(self.stderr_template)
+        validate_output_template(stdout_template)
+        if stderr_template is not None:
+            validate_output_template(stderr_template)
+        return tuple.__new__(cls, (stdout_template, stderr_template, merge_stderr))
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(namedtuple("JobSpec", "name resources walltime_s output body dialect")):
     """Normalized, dialect-independent description of one job."""
 
-    name: str
-    resources: ResourceRequest
-    walltime_s: int
-    output: OutputPolicy
-    body: tuple[str, ...]
-    dialect: Dialect
+    __slots__ = ()
 
-    def __post_init__(self):
-        validate_job_name(self.name)
-        if self.walltime_s <= 0:
+    def __new__(cls, name: str, resources: ResourceRequest, walltime_s: int,
+                output: OutputPolicy, body: tuple[str, ...], dialect: Dialect):
+        validate_job_name(name)
+        if walltime_s <= 0:
             raise BadTimeFormat("walltime must be positive")
+        return tuple.__new__(cls, (name, resources, walltime_s, output, body, dialect))
 
     def to_dict(self) -> dict:
         return {
@@ -121,30 +115,51 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
+        """The inverse of ``to_dict``, for a spec read back as JSON.
+
+        Each field must have the JSON type ``to_dict`` writes: a missing field
+        raises KeyError, a mistyped one TypeError, and a value the constructors
+        refuse raises the same ScriptError as at submission.
+        """
+        body = expect_type(d["body"], list, "body")
+        for line in body:
+            expect_type(line, str, "body line")
+        stderr_template = d.get("stderr_template")
+        if stderr_template is not None:
+            expect_type(stderr_template, str, "stderr_template")
         return cls(
-            name=d["name"],
+            name=expect_type(d["name"], str, "name"),
             resources=ResourceRequest(
-                nodes=d["nodes"],
-                slots_per_node=d["slots_per_node"],
-                features=frozenset(d.get("features", ())),
+                nodes=expect_type(d["nodes"], int, "nodes"),
+                slots_per_node=expect_type(d["slots_per_node"], int, "slots_per_node"),
+                features=frozenset(expect_type(d.get("features", []), list, "features")),
             ),
-            walltime_s=d["walltime_s"],
+            walltime_s=expect_type(d["walltime_s"], int, "walltime_s"),
             output=OutputPolicy(
-                stdout_template=d["stdout_template"],
-                stderr_template=d.get("stderr_template"),
-                merge_stderr=d["merge_stderr"],
+                stdout_template=expect_type(d["stdout_template"], str, "stdout_template"),
+                stderr_template=stderr_template,
+                merge_stderr=expect_type(d["merge_stderr"], bool, "merge_stderr"),
             ),
-            body=tuple(d["body"]),
+            body=tuple(body),
             dialect=Dialect(d["dialect"]),
         )
 
 
-@dataclass
+def expect_type(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind`` (so a bool is not an int)."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 class ParsedScript:
     """Result of the full parse pipeline, with non-fatal warnings."""
 
-    spec: JobSpec
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("spec", "warnings")
+
+    def __init__(self, spec: JobSpec, warnings: list[str] | None = None):
+        self.spec = spec
+        self.warnings = [] if warnings is None else warnings
 
 
 def validate_job_name(name: str) -> None:

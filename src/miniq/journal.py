@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .errors import JournalCorrupt
-from .jobspec import JobSpec
-from .sched import ClusterState, JobRecord, JobStatus, Node, status_from_code
+from .errors import JournalCorrupt, ScriptError
+from .jobspec import JobSpec, expect_type
+from .sched import (
+    TERMINAL_STATES,
+    ClusterState,
+    JobRecord,
+    JobStatus,
+    Node,
+    status_from_code,
+)
 
 EVENT_SUBMITTED = "submitted"
 EVENT_STARTED = "started"
@@ -31,12 +38,8 @@ _KNOWN_EVENTS = {
 }
 
 
-@dataclass(frozen=True)
-class JournalEntry:
-    seq: int
-    at: float
-    event: str
-    data: dict
+class JournalEntry(namedtuple("JournalEntry", "seq at event data")):
+    __slots__ = ()
 
     def to_json(self) -> str:
         doc = {"seq": self.seq, "at": self.at, "event": self.event, **self.data}
@@ -118,12 +121,14 @@ def _entry_from_doc(doc, index: int) -> JournalEntry:
     if not isinstance(doc, dict):
         raise JournalCorrupt(f"journal line {expected} is not an object", seq=expected)
     seq = doc.pop("seq", None)
-    if seq != expected:
+    if seq != expected or type(seq) is not int:
         raise JournalCorrupt(f"journal gap: expected seq {expected}, found {seq}", seq=expected)
     event = doc.pop("event", None)
-    if event not in _KNOWN_EVENTS:
+    if type(event) is not str or event not in _KNOWN_EVENTS:
         raise JournalCorrupt(f"unknown journal event {event!r} at seq {seq}", seq=seq)
     at = doc.pop("at", 0.0)
+    if type(at) is not float and type(at) is not int:
+        raise JournalCorrupt(f"journal entry {seq} has a non-numeric time {at!r}", seq=seq)
     return JournalEntry(seq=seq, at=at, event=event, data=doc)
 
 
@@ -156,11 +161,14 @@ class Journal:
             self._fh.close()
 
 
-@dataclass
 class RecoveredState:
-    cluster: ClusterState
-    lost_sessions: list[tuple[str, float]]  # (name, created_at)
-    next_seq: int  # the seq of the next entry to append
+    __slots__ = ("cluster", "lost_sessions", "next_seq")
+
+    def __init__(self, cluster: ClusterState, lost_sessions: list[tuple[str, float]],
+                 next_seq: int):
+        self.cluster = cluster
+        self.lost_sessions = lost_sessions  # (name, created_at)
+        self.next_seq = next_seq  # the seq of the next entry to append
 
 
 def recover(path: str, nodes: list[Node]) -> RecoveredState:
@@ -176,42 +184,14 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
     entries = read_entries(path)
     cluster = ClusterState(nodes)
     sessions_open: dict[str, float] = {}
-
     for entry in entries:
-        data = entry.data
-        if entry.event == EVENT_SUBMITTED:
-            job_id = data["job_id"]
-            if job_id < cluster._next_id:  # ids are assigned in increasing order
-                raise JournalCorrupt(
-                    f"entry {entry.seq} submits job {job_id} out of id order", seq=entry.seq
-                )
-            rec = JobRecord(
-                id=job_id,
-                spec=JobSpec.from_dict(data["spec"]),
-                submit_dir=data["submit_dir"],
-                submit_time=entry.at,
-            )
-            cluster.jobs[job_id] = rec
-            cluster.queue.append(job_id)
-            cluster._next_id = job_id + 1
-        elif entry.event == EVENT_STARTED:
-            rec = _known_job(cluster, data["job_id"], entry.seq)
-            rec.state = JobStatus.RUNNING
-            rec.start_time = entry.at
-            rec.allocation = dict(data["allocation"])
-            cluster.queue.remove(rec.id)
-        elif entry.event == EVENT_ENDED:
-            rec = _known_job(cluster, data["job_id"], entry.seq)
-            if rec.state is JobStatus.PENDING:
-                cluster.queue.remove(rec.id)
-            rec.state = status_from_code(data["state"])
-            rec.end_time = entry.at
-            rec.exit_code = data.get("exit_code")
-            rec.reason = data.get("reason")
-        elif entry.event == EVENT_SESSION_CREATED:
-            sessions_open[data["name"]] = entry.at
-        elif entry.event == EVENT_SESSION_ENDED:
-            sessions_open.pop(data["name"], None)
+        try:
+            _replay(entry, cluster, sessions_open)
+        except (KeyError, TypeError, ValueError, ScriptError) as exc:
+            reason = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise JournalCorrupt(
+                f"malformed {entry.event} entry at seq {entry.seq}: {reason}", seq=entry.seq
+            ) from None
 
     # Child processes cannot survive the daemon: anything still Running in
     # the replay was killed with it.
@@ -226,6 +206,52 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
         lost_sessions=sorted(sessions_open.items()),
         next_seq=len(entries) + 1,
     )
+
+
+def _replay(entry: JournalEntry, cluster: ClusterState, sessions_open: dict[str, float]) -> None:
+    """Apply one entry.  A missing field raises KeyError, and a mistyped or
+    impossible one TypeError, ValueError or the spec's ScriptError."""
+    data = entry.data
+    if entry.event in (EVENT_SESSION_CREATED, EVENT_SESSION_ENDED):
+        name = expect_type(data["name"], str, "name")
+        if entry.event == EVENT_SESSION_CREATED:
+            sessions_open[name] = entry.at
+        else:
+            sessions_open.pop(name, None)
+        return
+    job_id = expect_type(data["job_id"], int, "job_id")
+    if entry.event == EVENT_SUBMITTED:
+        if job_id < cluster._next_id:  # ids are assigned in increasing order
+            raise JournalCorrupt(
+                f"entry {entry.seq} submits job {job_id} out of id order", seq=entry.seq
+            )
+        rec = JobRecord(
+            id=job_id,
+            spec=JobSpec.from_dict(expect_type(data["spec"], dict, "spec")),
+            submit_dir=expect_type(data["submit_dir"], str, "submit_dir"),
+            submit_time=entry.at,
+        )
+        cluster.jobs[job_id] = rec
+        cluster.queue.append(job_id)
+        cluster._next_id = job_id + 1
+    elif entry.event == EVENT_STARTED:
+        rec = _known_job(cluster, job_id, entry.seq)
+        allocation = expect_type(data["allocation"], dict, "allocation")
+        cluster.queue.remove(rec.id)  # ValueError unless the job is Pending
+        rec.state = JobStatus.RUNNING
+        rec.start_time = entry.at
+        rec.allocation = allocation
+    else:  # EVENT_ENDED
+        rec = _known_job(cluster, job_id, entry.seq)
+        state = status_from_code(data["state"])
+        if state not in TERMINAL_STATES:
+            raise ValueError(f"job {job_id} cannot end in state {state.code}")
+        if rec.state is JobStatus.PENDING:
+            cluster.queue.remove(rec.id)
+        rec.state = state
+        rec.end_time = entry.at
+        rec.exit_code = data.get("exit_code")
+        rec.reason = data.get("reason")
 
 
 def _known_job(cluster: ClusterState, job_id: int, seq: int) -> JobRecord:

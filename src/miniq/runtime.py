@@ -16,7 +16,6 @@ import queue
 import signal
 import subprocess
 import threading
-from dataclasses import dataclass, field
 from subprocess import Popen
 
 from .errors import (
@@ -47,14 +46,17 @@ def _signal_group(proc: Popen, signum: int) -> None:
 # supervised jobs
 # --------------------------------------------------------------------- #
 
-@dataclass
 class RunningJob:
-    job_id: int
-    proc: Popen
-    deadline: float
-    stdout_path: str
-    stderr_path: str | None  # None when stderr is merged into stdout
-    term_sent_at: float | None = None
+    __slots__ = ("job_id", "proc", "deadline", "stdout_path", "stderr_path", "term_sent_at")
+
+    def __init__(self, job_id: int, proc: Popen, deadline: float, stdout_path: str,
+                 stderr_path: str | None, term_sent_at: float | None = None):
+        self.job_id = job_id
+        self.proc = proc
+        self.deadline = deadline
+        self.stdout_path = stdout_path
+        self.stderr_path = stderr_path  # None when stderr is merged into stdout
+        self.term_sent_at = term_sent_at
 
 
 def output_paths(spec: JobSpec, job_id: int, submit_dir: str) -> tuple[str, str | None]:
@@ -235,17 +237,31 @@ class Attachment:
             yield chunk
 
 
-@dataclass
 class Session:
-    name: str
-    command: tuple[str, ...]
-    created_at: float
-    proc: Popen | None = None
-    ring: RingBuffer = field(default_factory=RingBuffer)
-    live: bool = True
-    lost: bool = False
-    exit_code: int | None = None
-    attachments: list[Attachment] = field(default_factory=list)
+    __slots__ = ("name", "command", "created_at", "proc", "ring", "live", "lost", "exit_code",
+                 "attachments")
+
+    def __init__(
+        self,
+        name: str,
+        command: tuple[str, ...],
+        created_at: float,
+        proc: Popen | None = None,
+        ring: RingBuffer | None = None,
+        live: bool = True,
+        lost: bool = False,
+        exit_code: int | None = None,
+        attachments: list[Attachment] | None = None,
+    ):
+        self.name = name
+        self.command = command
+        self.created_at = created_at
+        self.proc = proc
+        self.ring = RingBuffer() if ring is None else ring
+        self.live = live
+        self.lost = lost
+        self.exit_code = exit_code
+        self.attachments = [] if attachments is None else attachments
 
     @property
     def attached(self) -> int:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import namedtuple
 
 from .errors import InvalidTransition, NoSuchJob, Unsatisfiable
 from .jobspec import JobSpec, ResourceRequest
@@ -59,27 +58,24 @@ def status_from_code(code: str) -> JobStatus:
         raise ValueError(f"unknown state code {code!r}") from None
 
 
-@dataclass
 class Node:
-    id: str
-    slots_total: int
-    features: frozenset[str] = frozenset()
-    slots_free: int = -1  # -1 means "all free"
+    __slots__ = ("id", "slots_total", "features", "slots_free")
 
-    def __post_init__(self):
-        if self.slots_total < 1:
-            raise ValueError(f"node {self.id} must have at least one slot")
-        if self.slots_free < 0:
-            self.slots_free = self.slots_total
+    def __init__(self, id: str, slots_total: int, features: frozenset[str] = frozenset(),
+                 slots_free: int = -1):  # -1 means "all free"
+        if slots_total < 1:
+            raise ValueError(f"node {id} must have at least one slot")
+        self.id = id
+        self.slots_total = slots_total
+        self.features = features
+        self.slots_free = slots_total if slots_free < 0 else slots_free
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """What ended (or tried to end) a job's run."""
+class Outcome(namedtuple("Outcome", "kind exit_code reason", defaults=(None, None))):
+    """What ended (or tried to end) a job's run: ``kind`` is exit, timeout,
+    cancel or daemon_failure."""
 
-    kind: str  # exit | timeout | cancel | daemon_failure
-    exit_code: int | None = None
-    reason: str | None = None
+    __slots__ = ()
 
     @classmethod
     def exit(cls, code: int) -> "Outcome":
@@ -106,37 +102,68 @@ _OUTCOME_TO_STATUS = {
 }
 
 
-@dataclass
 class JobRecord:
-    id: int
-    spec: JobSpec
-    submit_dir: str
-    state: JobStatus = JobStatus.PENDING
-    submit_time: float = 0.0
-    start_time: float | None = None
-    end_time: float | None = None
-    allocation: Allocation | None = None
-    exit_code: int | None = None
-    reason: str | None = None
-    # The status row of a finished job, which never changes again.
-    row: StatusRow | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("id", "spec", "submit_dir", "state", "submit_time", "start_time",
+                 "end_time", "allocation", "exit_code", "reason", "row")
+
+    def __init__(
+        self,
+        id: int,
+        spec: JobSpec,
+        submit_dir: str,
+        state: JobStatus = JobStatus.PENDING,
+        submit_time: float = 0.0,
+        start_time: float | None = None,
+        end_time: float | None = None,
+        allocation: Allocation | None = None,
+        exit_code: int | None = None,
+        reason: str | None = None,
+        row: StatusRow | None = None,
+    ):
+        self.id = id
+        self.spec = spec
+        self.submit_dir = submit_dir
+        self.state = state
+        self.submit_time = submit_time
+        self.start_time = start_time
+        self.end_time = end_time
+        self.allocation = allocation
+        self.exit_code = exit_code
+        self.reason = reason
+        # The status row of a finished job, which never changes again.
+        self.row = row
+
+    def __eq__(self, other):
+        """Field by field, leaving out ``row``, a cache of the others."""
+        if other.__class__ is not JobRecord:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__[:-1])
 
 
-@dataclass(frozen=True)
-class StartEvent:
-    job_id: int
-    allocation: Allocation
+StartEvent = namedtuple("StartEvent", "job_id allocation")
 
 
-@dataclass(frozen=True)
 class StatusRow:
-    id: int
-    name: str
-    state: str
-    nodes: int
-    slots_per_node: int
-    elapsed_s: int | None
-    limit_s: int
+    """One job's line in a ``status`` listing; treated as immutable."""
+
+    __slots__ = ("id", "name", "state", "nodes", "slots_per_node", "elapsed_s", "limit_s",
+                 "_json")
+
+    def __init__(self, id: int, name: str, state: str, nodes: int, slots_per_node: int,
+                 elapsed_s: int | None, limit_s: int):
+        self.id = id
+        self.name = name
+        self.state = state
+        self.nodes = nodes
+        self.slots_per_node = slots_per_node
+        self.elapsed_s = elapsed_s
+        self.limit_s = limit_s
+        self._json = None
+
+    def __eq__(self, other):
+        if other.__class__ is not StatusRow:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
         return {
@@ -149,10 +176,13 @@ class StatusRow:
             "limit_s": self.limit_s,
         }
 
-    @cached_property
+    @property
     def json(self) -> str:
-        """The row as compact JSON, as ``json.dumps`` writes it on the wire."""
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        """The row as compact JSON, as ``json.dumps`` writes it on the wire;
+        encoded on first use and kept, so a finished job's row is encoded once."""
+        if self._json is None:
+            self._json = json.dumps(self.to_dict(), separators=(",", ":"))
+        return self._json
 
 
 def status_row(rec: JobRecord, now: float) -> StatusRow:

@@ -17,8 +17,8 @@ from conftest import make_pbs_script, make_spec, wait_until
 from miniq import journal as journal_mod
 from miniq import protocol
 from miniq.cli import Client, CommandFailed
-from miniq.daemon import Daemon, DaemonConfig
-from miniq.errors import BindFailed, JournalCorrupt
+from miniq.daemon import Daemon, DaemonConfig, load_config, main
+from miniq.errors import BindFailed, ConfigError, JournalCorrupt
 from miniq.journal import EVENT_SESSION_CREATED, Journal, read_entries
 from miniq.sched import JobStatus, Node, Outcome, status_from_code
 
@@ -532,3 +532,46 @@ class TestServeLifecycle:
         )
         with pytest.raises(JournalCorrupt):
             Daemon(config)
+
+
+def write_config(tmp_path, nodes) -> str:
+    path = tmp_path / "miniqd.json"
+    path.write_text(json.dumps({"token": TOKEN, "journal": "journal.ndjson", "nodes": nodes}))
+    return str(path)
+
+
+class TestLoadConfig:
+    def test_node_entries(self, tmp_path):
+        config = load_config(write_config(
+            tmp_path, [{"id": "n1", "slots": 8}, {"id": "n2", "slots": 4, "features": ["gpu"]}]
+        ))
+        assert [(n.id, n.slots_total, n.slots_free, n.features) for n in config.nodes] == [
+            ("n1", 8, 8, frozenset()), ("n2", 4, 4, frozenset({"gpu"}))
+        ]
+
+    @pytest.mark.parametrize("nodes", [
+        pytest.param([{"slots": 8}], id="no id"),
+        pytest.param([{"id": "n1"}], id="no slots"),
+        pytest.param([{"id": "n1", "slots": "8"}], id="slots as a string"),
+        pytest.param([{"id": "n1", "slots": 2.5}], id="fractional slots"),
+        pytest.param([{"id": "n1", "slots": 0}], id="zero slots"),
+        pytest.param([{"id": "n1", "slots": 4, "features": "gpu"}], id="features as a string"),
+        pytest.param([{"id": "n1", "slots": 4}, {"id": "n1", "slots": 2}], id="repeated id"),
+    ])
+    def test_bad_node_entry_refused(self, tmp_path, capsys, nodes):
+        path = write_config(tmp_path, nodes)
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert main(["--config", path]) == 1
+        assert capsys.readouterr().err.startswith("miniqd: ")
+
+    def test_malformed_journal_entry_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, [{"id": "n1", "slots": 2}])
+        journal = tmp_path / "journal.ndjson"
+        journal.write_text('{"seq":1,"at":0.0,"event":"submitted","job_id":1,"submit_dir":"/"}\n')
+        with pytest.raises(JournalCorrupt):
+            journal_mod.recover(str(journal), [Node(id="n1", slots_total=2)])
+        assert main(["--config", path]) == 1
+        assert capsys.readouterr().err == (
+            "miniqd: malformed submitted entry at seq 1: no field 'spec'\n"
+        )

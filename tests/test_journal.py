@@ -27,8 +27,15 @@ def _line(seq: int, name: str = "a") -> bytes:
     return json.dumps(doc, ensure_ascii=False).encode("utf-8") + b"\n"
 
 
+def _entry(seq: int, event, **data) -> bytes:
+    doc = {"seq": seq, "at": 0.0, "event": event, **data}
+    return json.dumps(doc).encode("utf-8") + b"\n"
+
+
 LINE_1 = _line(1)
 _UNICODE_2 = _line(2, name="caf\u00e9")  # the name's last character is two bytes
+_SPEC = make_spec().to_dict()
+_SUBMIT_2 = _entry(2, "submitted", job_id=1, spec=_SPEC, submit_dir="/tmp")
 
 # What follows LINE_1, and the verdict: ("ok", entries read) or ("corrupt",
 # the seq JournalCorrupt names).
@@ -51,6 +58,35 @@ PARITY_TABLE = [
     pytest.param(b"\xef\xbb\xbf" + _line(2), ("ok", 2), id="byte order mark before a line"),
     pytest.param(_line(3), ("corrupt", 2), id="gap"),
     pytest.param(_line(3)[:-1], ("corrupt", 2), id="gap in a tail without its newline"),
+    # JSON objects with a missing, mistyped or impossible field, after one
+    # well-formed submission and start.
+    pytest.param(_SUBMIT_2 + _entry(3, "started", job_id=1, allocation={"n1": 1}), ("ok", 3),
+                 id="well-formed submission and start"),
+    pytest.param(_entry(2, "submitted", job_id=1, submit_dir="/tmp"), ("corrupt", 2),
+                 id="submission without a spec"),
+    pytest.param(_entry(2, ["submitted"], job_id=1, spec=_SPEC, submit_dir="/tmp"),
+                 ("corrupt", 2), id="event that is a list"),
+    pytest.param(_entry(2, "submitted", job_id=1, spec={**_SPEC, "name": ""}, submit_dir="/tmp"),
+                 ("corrupt", 2), id="spec with an empty name"),
+    pytest.param(_entry(2, "submitted", job_id="1", spec=_SPEC, submit_dir="/tmp"),
+                 ("corrupt", 2), id="job id that is a string"),
+    pytest.param(_entry(2, "submitted", job_id=1, spec={**_SPEC, "features": "gpu"},
+                        submit_dir="/tmp"), ("corrupt", 2), id="features that are a string"),
+    pytest.param(_entry(2, "submitted", job_id=1, spec={**_SPEC, "body": ["true", 1]},
+                        submit_dir="/tmp"), ("corrupt", 2), id="body line that is a number"),
+    pytest.param(_entry(2, "submitted", job_id=1, spec={**_SPEC, "walltime_s": 1.5},
+                        submit_dir="/tmp"), ("corrupt", 2), id="fractional walltime"),
+    pytest.param(_SUBMIT_2 + _entry(3, "started", job_id=1, allocation={"n1": 1})
+                 + _entry(4, "started", job_id=1, allocation={"n2": 1}),
+                 ("corrupt", 4), id="job started twice"),
+    pytest.param(_SUBMIT_2 + _entry(3, "ended", job_id=1, state="R"), ("corrupt", 3),
+                 id="job ended in a live state"),
+    pytest.param(_SUBMIT_2 + _entry(3, "ended", job_id=1, state="XX"), ("corrupt", 3),
+                 id="job ended in an unknown state"),
+    pytest.param(_entry(2, "session_created", name=["a"]), ("corrupt", 2),
+                 id="session name that is a list"),
+    pytest.param(_line(2).replace(b'"at": 0.0', b'"at": "noon"'), ("corrupt", 2),
+                 id="time that is a string"),
 ]
 
 
@@ -166,13 +202,15 @@ class TestJournalFile:
 
     @pytest.mark.parametrize("tail, verdict", PARITY_TABLE)
     def test_verdict_parity(self, tmp_path, tail, verdict):
-        # Each verdict is the one the per-line bytes parser gave, before the
-        # journal was decoded once as a whole.
+        # Each verdict down to the gaps is the one the per-line bytes parser
+        # gave, before the journal was decoded once as a whole.  A corrupt
+        # line fails read_entries, a line that cannot be replayed recover.
         path = tmp_path / "j"
         path.write_bytes(LINE_1 + tail)
         if verdict[0] == "corrupt":
             with pytest.raises(JournalCorrupt) as excinfo:
                 read_entries(str(path))
+                recover(str(path), fresh_nodes())
             assert excinfo.value.seq == verdict[1]
         else:
             assert [e.seq for e in read_entries(str(path))] == list(range(1, verdict[1] + 1))
