@@ -182,7 +182,9 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
     append.
     """
     entries = read_entries(path)
-    cluster = ClusterState(nodes)
+    # Fresh nodes, all slots free: the caller's may still carry the slots of
+    # another daemon's jobs built from the same configuration.
+    cluster = ClusterState([Node(node.id, node.slots_total, node.features) for node in nodes])
     sessions_open: dict[str, float] = {}
     for entry in entries:
         try:

@@ -210,24 +210,19 @@ def status_row(rec: JobRecord, now: float) -> StatusRow:
     return row
 
 
-def first_fit(
-    request: ResourceRequest, nodes: list[Node], free: dict[str, int] | None = None
-) -> Allocation | None:
+def first_fit(request: ResourceRequest, nodes: list[Node]) -> Allocation | None:
     """Pick the first ``request.nodes`` nodes that each hold a full slot group.
 
     Scans in configuration order; a node qualifies if it has at least
     ``slots_per_node`` free slots and carries every requested feature.  Slots
-    are never aggregated across nodes.  ``free`` (node id -> free slots)
-    probes a hypothetical state instead of each node's own ``slots_free``.
-    Returns None when no placement exists.
+    are never aggregated across nodes.  Returns None when no placement exists.
     """
     needed = request.nodes
     slots = request.slots_per_node
     features = request.features
     chosen: Allocation = {}
     for node in nodes:
-        available = node.slots_free if free is None else free[node.id]
-        if available >= slots and features <= node.features:
+        if node.slots_free >= slots and features <= node.features:
             chosen[node.id] = slots
             if len(chosen) == needed:
                 return chosen
@@ -239,32 +234,41 @@ def shadow_time(head_request: ResourceRequest, state: "ClusterState") -> tuple[f
     nodes its reservation would use.
 
     Assumes every running job releases its slots exactly at
-    start_time + walltime.  Evaluated at the current clock first (degenerate
-    case: the head already fits), then at each release instant in order.
+    start_time + walltime.  Free slots only grow as releases apply, so each
+    node carrying the head's features becomes ready (holds a full slot group)
+    at one instant: now, or a release instant.  One sweep over the releases
+    in time order finds the instant by which ``head_request.nodes`` nodes are
+    ready; every release sharing that instant is applied first, and the
+    reservation is the first ready nodes in configuration order, as
+    ``first_fit`` would pick them at that instant.
     """
-    free = {node.id: node.slots_free for node in state.nodes}
-    alloc = first_fit(head_request, state.nodes, free)
-    if alloc is not None:
-        return state.clock, frozenset(alloc)
-
-    releases = sorted(
-        ((rec.start_time + rec.spec.walltime_s, rec.allocation) for rec in state.running.values()),
-        key=lambda item: item[0],
-    )
-
-    # Apply every release sharing an instant before probing: the reservation
-    # must reflect the full state at that instant, not a mid-instant view.
-    i = 0
-    while i < len(releases):
-        when = releases[i][0]
-        while i < len(releases) and releases[i][0] == when:
-            for node_id, slots in releases[i][1].items():
-                free[node_id] += slots
-            i += 1
-        alloc = first_fit(head_request, state.nodes, free)
-        if alloc is not None:
-            return when, frozenset(alloc)
-    raise Unsatisfiable("head request cannot fit even on an idle cluster")
+    needed = head_request.nodes
+    slots = head_request.slots_per_node
+    features = head_request.features
+    eligible = [node for node in state.nodes if features <= node.features]
+    # Eligible nodes still short of a group -> their free slots.
+    short = {node.id: node.slots_free for node in eligible if node.slots_free < slots}
+    ready = len(eligible) - len(short)
+    when = state.clock
+    if ready < needed:
+        for rec in sorted(state.running.values(),
+                          key=lambda rec: rec.start_time + rec.spec.walltime_s):
+            end = rec.start_time + rec.spec.walltime_s
+            if ready >= needed and end != when:
+                break  # every release at the shadow instant has been applied
+            when = end
+            for node_id, freed in rec.allocation.items():
+                if node_id in short:
+                    free = short[node_id] + freed
+                    if free >= slots:
+                        del short[node_id]
+                        ready += 1
+                    else:
+                        short[node_id] = free
+        if ready < needed:
+            raise Unsatisfiable("head request cannot fit even on an idle cluster")
+    reserved = [node.id for node in eligible if node.id not in short][:needed]
+    return when, frozenset(reserved)
 
 
 class ClusterState:
@@ -346,20 +350,27 @@ class ClusterState:
             head = self.jobs[self.queue[0]]
             shadow, reserved = shadow_time(head.spec.resources, self)
             # Free slots only shrink during the pass, so a shape that found
-            # no placement finds none for the rest of it.
+            # no placement finds none for the rest of it.  A placement found
+            # holds until the next start; until then, later jobs of its shape
+            # reuse it.
             unplaceable: set[ResourceRequest] = set()
+            placed: dict[ResourceRequest, Allocation] = {}
             for job_id in self.queue[1:]:
                 rec = self.jobs[job_id]
                 request = rec.spec.resources
                 if request in unplaceable:
                     continue
-                allocation = first_fit(request, self.nodes)
+                allocation = placed.get(request)
                 if allocation is None:
-                    unplaceable.add(request)
-                    continue
+                    allocation = first_fit(request, self.nodes)
+                    if allocation is None:
+                        unplaceable.add(request)
+                        continue
+                    placed[request] = allocation
                 ends_in_time = now + rec.spec.walltime_s <= shadow
                 if ends_in_time or reserved.isdisjoint(allocation):
                     events.append(self._start(rec, allocation, now))
+                    placed.clear()
         return events
 
     def _start(self, rec: JobRecord, allocation: Allocation, now: float) -> StartEvent:

@@ -472,6 +472,30 @@ class TestServeLifecycle:
         finally:
             second.shutdown()
 
+    def test_second_daemon_from_same_config_starts_with_free_slots(self, tmp_path):
+        # Two daemons in one process built from one DaemonConfig: the second
+        # must not inherit the slots the first one's job held on n1.
+        config = daemon_config(tmp_path, slots=4, nodes=1)
+        first = Daemon(config)
+        try:
+            response, _ = first.handle_request({
+                "type": "submit", "submit_dir": str(tmp_path),
+                "script": make_pbs_script("holder", 1, 3, 600, body="sleep 600")})
+            job_id = response["payload"]["job_id"]
+            first.tick_once(time.monotonic())
+            assert first.state.jobs[job_id].state is JobStatus.RUNNING
+            assert [node.slots_free for node in first.state.nodes] == [1]
+        finally:
+            first.shutdown()
+
+        second = Daemon(config)
+        try:
+            assert second.state.jobs[job_id].state is JobStatus.FAILED
+            assert [node.slots_free for node in second.state.nodes] == [4]
+            second.state.assert_conservation()
+        finally:
+            second.shutdown()
+
     def test_sigterm_right_after_banner_shuts_down_cleanly(self, tmp_path):
         # The daemon signals itself the moment it writes its banner, the
         # earliest instant a client reading that line could send SIGTERM.

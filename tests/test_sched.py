@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import collections
 import copy
+import importlib
 import json
+import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -103,42 +107,33 @@ class TestFirstFit:
         )
         assert alloc == {"gpu1": 2}
 
-    def test_free_map_scans_like_node_counts(self):
-        # A free-slot map must be read in configuration order exactly as the
-        # nodes' own counts are; the nodes' counts are zeroed so that only
-        # the map can place anything.
-        rng = random.Random(2024)
-        feature_pool = [frozenset(), frozenset({"gpu"})]
-        for _ in range(500):
-            count = rng.randrange(1, 6)
-            free = [rng.randrange(0, 5) for _ in range(count)]
-            feats = [rng.choice(feature_pool) for _ in range(count)]
-            live = [Node(id=f"n{i + 1}", slots_total=4, features=feats[i], slots_free=free[i])
-                    for i in range(count)]
-            zeroed = [Node(id=f"n{i + 1}", slots_total=4, features=feats[i], slots_free=0)
-                      for i in range(count)]
-            request = ResourceRequest(nodes=rng.randrange(1, count + 1),
-                                      slots_per_node=rng.randrange(1, 5),
-                                      features=rng.choice(feature_pool))
-            free_map = {node.id: slots for node, slots in zip(live, free)}
-            assert first_fit(request, zeroed, free_map) == first_fit(request, live)
 
+def brute_force_shadow(state: ClusterState, request: ResourceRequest):
+    """Oracle for shadow_time: (instant, first-fit nodes at it), or None when
+    the request never fits.
 
-def brute_force_shadow(state: ClusterState, request: ResourceRequest, horizon: int) -> int:
-    """Oracle for shadow_time: scan each instant, releasing finished jobs."""
-    for t in range(int(state.clock), horizon + 1):
+    The head fits now, or else at the first whole instant, counted from the
+    earliest release (which may lie before the clock), by which every job
+    ending then has released its slots; the nodes are the first ones in
+    configuration order that then hold a full slot group.
+    """
+    running = [rec for rec in state.jobs.values() if rec.state is JobStatus.RUNNING]
+    ends = [rec.start_time + rec.spec.walltime_s for rec in running]
+    # (instant, release every job ending by): the clock with nothing released,
+    # then each whole instant from the first release to the last.
+    probes = [(state.clock, -math.inf),
+              *((t, t) for t in range(int(min(ends, default=0)), int(max(ends, default=0)) + 1))]
+    for now, released_by in probes:
         free = {n.id: n.slots_free for n in state.nodes}
-        for rec in state.jobs.values():
-            if rec.state is JobStatus.RUNNING and rec.start_time + rec.spec.walltime_s <= t:
+        for rec, end in zip(running, ends):
+            if end <= released_by:
                 for node_id, slots in rec.allocation.items():
                     free[node_id] += slots
-        granted = 0
-        for node in state.nodes:
-            if free[node.id] >= request.slots_per_node and request.features <= node.features:
-                granted += 1
-        if granted >= request.nodes:
-            return t
-    raise AssertionError("no fit within horizon")
+        granted = [node.id for node in state.nodes
+                   if free[node.id] >= request.slots_per_node and request.features <= node.features]
+        if len(granted) >= request.nodes:
+            return now, frozenset(granted[:request.nodes])
+    return None
 
 
 class TestShadowTime:
@@ -148,10 +143,7 @@ class TestShadowTime:
         state.tick(0)
         assert state.jobs[blocker].state is JobStatus.RUNNING
         head = ResourceRequest(nodes=1, slots_per_node=1)
-        expected = brute_force_shadow(state, head, horizon=200)
-        when, reserved = shadow_time(head, state)
-        assert when == expected == 100
-        assert reserved == {"n1"}
+        assert shadow_time(head, state) == brute_force_shadow(state, head) == (100, {"n1"})
 
     def test_two_releases_max_required(self):
         state = make_cluster(1, 1)
@@ -161,10 +153,7 @@ class TestShadowTime:
         assert state.jobs[a].state is JobStatus.RUNNING
         assert state.jobs[b].state is JobStatus.RUNNING
         head = ResourceRequest(nodes=2, slots_per_node=1)
-        expected = brute_force_shadow(state, head, horizon=200)
-        when, reserved = shadow_time(head, state)
-        assert when == expected == 100
-        assert reserved == {"n1", "n2"}
+        assert shadow_time(head, state) == brute_force_shadow(state, head) == (100, {"n1", "n2"})
 
     def test_finished_history_does_not_change_reservation(self):
         def blocked_state(history: int) -> ClusterState:
@@ -190,8 +179,9 @@ class TestShadowTime:
         fresh = blocked_state(0)
         old = blocked_state(500)
         assert len(old.jobs) == 502
-        expected = brute_force_shadow(fresh, head, horizon=200)
-        assert shadow_time(head, fresh) == shadow_time(head, old) == (expected, {"n1", "n2", "n3"})
+        expected = brute_force_shadow(fresh, head)
+        assert shadow_time(head, fresh) == shadow_time(head, old) == expected
+        assert expected[1] == {"n1", "n2", "n3"}
 
     def test_head_already_fits_returns_now(self):
         state = make_cluster(4)
@@ -199,6 +189,47 @@ class TestShadowTime:
         when, reserved = shadow_time(ResourceRequest(nodes=1, slots_per_node=2), state)
         assert when == 17
         assert reserved == {"n1"}
+
+    def test_random_states_match_brute_force(self):
+        # Mixed features, multi-node heads, releases tied at one instant
+        # (start times and walltimes from small sets), overdue releases (the
+        # clock moved past some ends without a transition), heads that fit
+        # now and heads that never fit; every case must come up.
+        rng = random.Random(8)
+        pool = [frozenset(), frozenset({"gpu"}), frozenset({"big"}), frozenset({"gpu", "big"})]
+        seen = collections.Counter()
+        for _ in range(3000):
+            count = rng.randrange(1, 7)
+            state = make_cluster(*(rng.randrange(1, 7) for _ in range(count)),
+                                 features=tuple(rng.choice(pool) for _ in range(count)))
+            now = 0
+            for _ in range(rng.randrange(0, 10)):
+                spec = make_spec(nodes=rng.randrange(1, 3), slots=rng.randrange(1, 5),
+                                 walltime_s=rng.choice((5, 10, 20)),
+                                 features=rng.choice(pool[:2]))
+                if state.satisfiable(spec.resources):
+                    state.submit(spec, "/tmp", now)
+                    state.tick(now)
+                now += rng.choice((0, 0, 1, 5))
+            state.clock = now + rng.choice((0, 0, 3, 12, 30))
+            head = ResourceRequest(nodes=rng.randrange(1, 4), slots_per_node=rng.randrange(1, 5),
+                                   features=rng.choice(pool[:2]))
+            expected = brute_force_shadow(state, head)
+            if expected is None:
+                with pytest.raises(Unsatisfiable):
+                    shadow_time(head, state)
+                seen["never fits"] += 1
+                continue
+            assert shadow_time(head, state) == expected, (state.nodes, state.running, head)
+            when = expected[0]
+            seen["fits now" if when == state.clock else
+                 "overdue" if when < state.clock else "later"] += 1
+            seen["multi-node"] += head.nodes > 1
+            seen["features"] += bool(head.features)
+            seen["tied"] += sum(rec.start_time + rec.spec.walltime_s == when
+                                for rec in state.running.values()) > 1
+        assert min(seen[case] for case in ("never fits", "fits now", "overdue", "later",
+                                           "multi-node", "features", "tied")) >= 50, seen
 
 
 class TestTick:
@@ -252,6 +283,17 @@ class TestTick:
         assert state.jobs[head].state is JobStatus.PENDING
         assert state.jobs[blocker].state is JobStatus.RUNNING
 
+    @staticmethod
+    def count_probes(monkeypatch) -> list:
+        probed = []
+
+        def counting_first_fit(request, nodes):
+            probed.append(request)
+            return first_fit(request, nodes)
+
+        monkeypatch.setattr(sched, "first_fit", counting_first_fit)
+        return probed
+
     def test_unplaceable_shape_probed_once_per_pass(self, monkeypatch):
         # n1 is held until t=100 and reserved for the head.  Two queued jobs
         # want two 2-slot groups, which only n2 can give: no placement.  A
@@ -263,17 +305,44 @@ class TestTick:
         wide = [state.submit(make_spec(nodes=2, slots=2, walltime_s=5), "/tmp", 1)
                 for _ in range(2)]
         small = state.submit(make_spec(nodes=1, slots=2, walltime_s=500), "/tmp", 1)
-        probed = []
-
-        def counting_first_fit(request, nodes, free=None):
-            probed.append(request)
-            return first_fit(request, nodes, free)
-
-        monkeypatch.setattr(sched, "first_fit", counting_first_fit)
+        probed = self.count_probes(monkeypatch)
         events = state.tick(5)
         assert [e.job_id for e in events] == [small]
         assert [state.jobs[j].state for j in (head, *wide)] == [JobStatus.PENDING] * 3
         assert probed.count(ResourceRequest(nodes=2, slots_per_node=2)) == 1
+        state.assert_conservation()
+
+    def test_blocked_shape_probed_once_per_pass(self, monkeypatch):
+        # n1 is held until t=100 and the head needs both nodes, so both are
+        # reserved.  Five jobs fit on n2 but outlive the shadow time: one
+        # probe places their shape, and every one of them is held back.
+        state, head = self._blocked_head_state()
+        blocked = [state.submit(make_spec(nodes=1, slots=1, walltime_s=70), "/tmp", 20)
+                   for _ in range(5)]
+        probed = self.count_probes(monkeypatch)
+        assert state.tick(40) == []
+        assert [state.jobs[j].state for j in (head, *blocked)] == [JobStatus.PENDING] * 6
+        assert probed.count(ResourceRequest(nodes=1, slots_per_node=1)) == 1
+
+    def test_start_discards_reused_placement(self, monkeypatch):
+        # n1's two slots are held until t=100; the head needs one slot on
+        # each node, so all three are reserved.  The placement on n2 found
+        # for the long jobs is reused by the first short one; the next short
+        # job is placed anew on n3, and the last finds no room at all.
+        state = make_cluster(2, 1, 1)
+        state.submit(make_spec(nodes=1, slots=2, walltime_s=100), "/tmp", 0)
+        state.tick(0)
+        head = state.submit(make_spec(nodes=3, slots=1), "/tmp", 1)
+        long_jobs = [state.submit(make_spec(nodes=1, slots=1, walltime_s=500), "/tmp", 1)
+                     for _ in range(2)]
+        short = [state.submit(make_spec(nodes=1, slots=1, walltime_s=10), "/tmp", 1)
+                 for _ in range(3)]
+        probed = self.count_probes(monkeypatch)
+        events = state.tick(5)
+        assert events == [(short[0], {"n2": 1}), (short[1], {"n3": 1})]
+        assert [state.jobs[j].state for j in (head, *long_jobs, short[2])] == \
+            [JobStatus.PENDING] * 4
+        assert probed.count(ResourceRequest(nodes=1, slots_per_node=1)) == 3
         state.assert_conservation()
 
     def test_clock_must_not_go_backwards(self, two_node_cluster):
@@ -465,6 +534,29 @@ class TestOracleAgreement:
             expected = refsim.simulate(node_slots, jobs, node_feats, job_feats)
             actual, _ = run_cluster(node_slots, jobs, node_feats, job_feats)
             assert actual == expected, (node_slots, node_feats, jobs, job_feats)
+
+
+class TestReferenceReplay:
+    """Arrivals over time on a wider cluster: ``perfbench/backlog.py``'s
+    bursty trace replayed through ``ClusterState`` must start every job when
+    ``perfbench/refsched.py``, an EASY scheduler sharing no code with miniq,
+    starts it.  The oracle sweep queues everything at t=0 on at most two
+    nodes, so it cannot see a wrong reservation on 32 nodes."""
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_backlog_trace_starts_match_reference(self, seed, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        backlog = importlib.import_module("backlog")
+        refsched = importlib.import_module("refsched")
+        trace, specs, state = backlog.setup(seed)
+        starts: dict[int, int] = {}
+        for _ in backlog.replay(trace, specs, state, starts):
+            pass
+        expected = refsched.simulate([backlog.SLOTS] * backlog.N_NODES,
+                                     backlog.node_features(), trace)
+        assert len(starts) == len(trace)
+        assert starts == expected
+        state.assert_conservation()
 
 
 class TestDeterminism:
