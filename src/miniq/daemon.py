@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hmac
 import json
+import math
 import os
 import queue
 import signal
@@ -21,6 +22,7 @@ import sys
 import threading
 import time
 import traceback
+from subprocess import Popen
 
 from . import journal as journal_mod
 from . import protocol
@@ -37,12 +39,13 @@ from .protocol import data_frame, end_frame, err, ok
 from .runtime import (
     RunningJob,
     SessionRegistry,
-    _signal_group,
     collect_exits,
+    kill_after_grace,
     launch_job,
     poll_walltime,
+    terminate,
 )
-from .sched import ClusterState, JobStatus, Node, Outcome, status_from_code
+from .sched import ClusterState, Node, Outcome, status_from_code
 
 DEFAULT_TICK_INTERVAL_S = 0.2
 MIN_TICK_INTERVAL_S = 0.01
@@ -142,7 +145,9 @@ class Daemon:
             self.sessions.adopt_lost(name, created_at)
 
         self._running: dict[int, RunningJob] = {}
-        self._dying: list[RunningJob] = []
+        # Every process group sent SIGTERM (timed out, cancelled, killed
+        # session), with when; the tick SIGKILLs it after the grace.
+        self._dying: list[tuple[Popen, float]] = []
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
         self.bound_address: tuple[str, int] | None = None
@@ -178,10 +183,8 @@ class Daemon:
             except OSError:
                 pass
         with self._mu:
-            procs = [rj.proc for rj in self._running.values()]
-            procs += [rj.proc for rj in self._dying]
-        for proc in procs:
-            _signal_group(proc, signal.SIGKILL)
+            running = [(rj.proc, 0.0) for rj in self._running.values()]
+            self._dying = kill_after_grace(self._dying + running, math.inf)
         self.sessions.shutdown()
         with self._mu:
             self.journal.close()
@@ -209,9 +212,8 @@ class Daemon:
             for job_id in poll_walltime(active, now):
                 self.state.transition(job_id, Outcome.timeout(), now)
                 self._journal_ended(job_id)
-                self._dying.append(self._running.pop(job_id))
-            poll_walltime(self._dying, now)  # escalate to SIGKILL after grace
-            self._dying = [rj for rj in self._dying if rj.proc.poll() is None]
+                self._dying.append((self._running.pop(job_id).proc, now))
+            self._dying = kill_after_grace(self._dying, now)
 
             for name in self.sessions.drain_ended():
                 self.journal.append(
@@ -227,7 +229,7 @@ class Daemon:
                 )
                 try:
                     self._running[event.job_id] = launch_job(
-                        rec.spec, event.allocation, event.job_id, rec.submit_dir, now=now
+                        rec.spec, event.job_id, rec.submit_dir, now=now
                     )
                 except MiniqError as exc:
                     self.state.transition(event.job_id, Outcome.daemon_failure(str(exc)), now)
@@ -313,15 +315,11 @@ class Daemon:
             return err("invalid-request", "cancel needs a job_id"), None
         now = self._clock()
         with self._mu:
-            rec = self.state.jobs.get(job_id)
-            was_running = rec is not None and rec.state is JobStatus.RUNNING
             rec = self.state.transition(job_id, Outcome.cancel(), now)
-            if was_running:
-                running = self._running.pop(job_id, None)
-                if running is not None:
-                    _signal_group(running.proc, signal.SIGTERM)
-                    running.term_sent_at = now
-                    self._dying.append(running)
+            running = self._running.pop(job_id, None)
+            if running is not None:
+                terminate(running.proc)
+                self._dying.append((running.proc, now))
             self._journal_ended(job_id)
             return ok({"job_id": job_id, "state": rec.state.code}), None
 
@@ -345,7 +343,9 @@ class Daemon:
         if not isinstance(name, str):
             return err("invalid-request", "session_kill needs a name"), None
         with self._mu:
-            self.sessions.kill(name)
+            proc = self.sessions.kill(name)
+            if proc is not None:
+                self._dying.append((proc, self._clock()))
             self.journal.append(
                 journal_mod.EVENT_SESSION_ENDED, {"name": name}, at=time.time()
             )

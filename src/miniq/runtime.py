@@ -11,6 +11,7 @@ replay everything (up to capacity) before following the live stream.
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 import signal
@@ -26,20 +27,43 @@ from .errors import (
     UnknownSession,
 )
 from .jobspec import JobSpec, expand_output_template, job_environment, validate_job_name
-from .sched import Allocation
 
 GRACE_SECONDS = 2.0
 DEFAULT_RING_CAPACITY = 1024 * 1024
 
 
 def _signal_group(proc: Popen, signum: int) -> None:
-    """Signal the process group (jobs/sessions start their own)."""
-    if proc.poll() is not None:
-        return
+    """Signal the process group a job or session leads (each starts its own).
+    Only while the leader is unreaped, or in the call that reaps it: after
+    that, its pid may name someone else's group."""
     try:
         os.killpg(proc.pid, signum)
     except (ProcessLookupError, PermissionError):
         pass
+
+
+def terminate(proc: Popen) -> None:
+    """SIGTERM the group unless its leader is reaped already."""
+    if proc.returncode is None:
+        _signal_group(proc, signal.SIGTERM)
+
+
+def kill_after_grace(dying: list[tuple[Popen, float]], now: float) -> list[tuple[Popen, float]]:
+    """SIGKILL the group of each (leader, SIGTERM time) entry ``GRACE_SECONDS``
+    after its SIGTERM, then reap the leader; returns the entries still
+    waiting.  A job's group is swept even if its leader died on SIGTERM, as
+    only this reaps a listed job's leader.  A session's pump thread reaps its
+    own leader, hence the returncode check: once it has, the group is left
+    alone.  ``now=math.inf`` kills them all."""
+    waiting = []
+    for proc, term_sent_at in dying:
+        if now >= term_sent_at + GRACE_SECONDS:
+            if proc.returncode is None:
+                _signal_group(proc, signal.SIGKILL)
+            if proc.poll() is not None:
+                continue
+        waiting.append((proc, term_sent_at))
+    return waiting
 
 
 # --------------------------------------------------------------------- #
@@ -47,16 +71,12 @@ def _signal_group(proc: Popen, signum: int) -> None:
 # --------------------------------------------------------------------- #
 
 class RunningJob:
-    __slots__ = ("job_id", "proc", "deadline", "stdout_path", "stderr_path", "term_sent_at")
+    __slots__ = ("job_id", "proc", "deadline")
 
-    def __init__(self, job_id: int, proc: Popen, deadline: float, stdout_path: str,
-                 stderr_path: str | None, term_sent_at: float | None = None):
+    def __init__(self, job_id: int, proc: Popen, deadline: float):
         self.job_id = job_id
         self.proc = proc
-        self.deadline = deadline
-        self.stdout_path = stdout_path
-        self.stderr_path = stderr_path  # None when stderr is merged into stdout
-        self.term_sent_at = term_sent_at
+        self.deadline = deadline  # math.inf once sent SIGTERM
 
 
 def output_paths(spec: JobSpec, job_id: int, submit_dir: str) -> tuple[str, str | None]:
@@ -73,23 +93,14 @@ def output_paths(spec: JobSpec, job_id: int, submit_dir: str) -> tuple[str, str 
     return stdout_path, stderr_path
 
 
-def launch_job(
-    spec: JobSpec,
-    allocation: Allocation,
-    job_id: int,
-    submit_dir: str,
-    *,
-    now: float,
-    base_env: dict[str, str] | None = None,
-) -> RunningJob:
+def launch_job(spec: JobSpec, job_id: int, submit_dir: str, *, now: float) -> RunningJob:
     """Spawn the job body under /bin/sh with sinks opened before the process.
 
     The job's exit code is the shell's exit code (its last command); failing
     lines such as unavailable ``module load`` commands do not abort the rest.
     """
-    del allocation  # slot bookkeeping lives in sched; execution is host-local
     script = "\n".join(spec.body) + "\n"
-    env = dict(os.environ if base_env is None else base_env)
+    env = dict(os.environ)
     env.update(job_environment(spec, job_id, submit_dir))
 
     stdout_path, stderr_path = output_paths(spec, job_id, submit_dir)
@@ -124,48 +135,34 @@ def launch_job(
         if stderr_file is not None:
             stderr_file.close()
 
-    return RunningJob(
-        job_id=job_id,
-        proc=proc,
-        deadline=now + spec.walltime_s,
-        stdout_path=stdout_path,
-        stderr_path=stderr_path,
-    )
+    return RunningJob(job_id=job_id, proc=proc, deadline=now + spec.walltime_s)
 
 
-def poll_walltime(
-    jobs: list[RunningJob] | set[RunningJob],
-    now: float,
-    *,
-    grace: float = GRACE_SECONDS,
-) -> list[int]:
+def poll_walltime(jobs: list[RunningJob] | set[RunningJob], now: float) -> list[int]:
     """Enforce walltime deadlines; returns job ids newly timed out.
 
-    A job strictly past its deadline gets a termination signal and is
-    reported once; if it is still alive ``grace`` seconds later, it is
-    hard-killed on a later poll.  A job using exactly its limit is spared.
+    A job strictly past its deadline gets SIGTERM and is reported once, for
+    the caller to list as dying.  A job using exactly its limit is spared.
     """
     timed_out: list[int] = []
     for job in jobs:
-        if job.term_sent_at is None:
-            if now > job.deadline and job.proc.poll() is None:
-                _signal_group(job.proc, signal.SIGTERM)
-                job.term_sent_at = now
-                timed_out.append(job.job_id)
-        elif job.proc.poll() is None and now > job.term_sent_at + grace:
-            _signal_group(job.proc, signal.SIGKILL)
+        if now > job.deadline and job.proc.returncode is None:
+            terminate(job.proc)
+            job.deadline = math.inf
+            timed_out.append(job.job_id)
     return timed_out
 
 
 def collect_exits(jobs: list[RunningJob]) -> list[tuple[int, int]]:
-    """(job_id, exit_code) for jobs whose process has finished on its own."""
+    """(job_id, exit_code) for jobs whose process has finished on its own.
+    A leader reaped here has its group SIGKILLed in the same call, so
+    nothing the job left in the background outlives it."""
     finished = []
     for job in jobs:
-        if job.term_sent_at is not None:
-            continue  # already accounted as a timeout
-        code = job.proc.poll()
-        if code is not None:
-            finished.append((job.job_id, code))
+        if job.proc.returncode is None and job.proc.poll() is not None:
+            _signal_group(job.proc, signal.SIGKILL)
+        if job.proc.returncode is not None:
+            finished.append((job.job_id, job.proc.returncode))
     return finished
 
 
@@ -379,25 +376,19 @@ class SessionRegistry:
         with self._lock:
             return self._sessions.get(name)
 
-    def kill(self, name: str, *, grace: float = GRACE_SECONDS) -> None:
-        """Terminate the process and drop the name; attached clients get what
-        is already queued plus an end marker once the process dies."""
+    def kill(self, name: str) -> Popen | None:
+        """Drop the name and SIGTERM the process group; returns the process
+        if it was live, for the caller's dying list.  Attached clients get
+        what is already queued plus an end marker once the process dies."""
         with self._lock:
             session = self._sessions.pop(name, None)
             if session is None:
                 raise UnknownSession(f"no session named {name!r}")
             if not session.live or session.proc is None:
-                return
+                return None
             proc = session.proc
-        _signal_group(proc, signal.SIGTERM)
-
-        def escalate():
-            if proc.poll() is None:
-                _signal_group(proc, signal.SIGKILL)
-
-        timer = threading.Timer(grace, escalate)
-        timer.daemon = True
-        timer.start()
+        terminate(proc)
+        return proc
 
     def adopt_lost(self, name: str, created_at: float) -> None:
         """Register a tombstone for a session that did not survive a restart."""
@@ -422,6 +413,5 @@ class SessionRegistry:
         """Kill every live session process (daemon-owned children do not
         outlive the daemon)."""
         with self._lock:
-            procs = [s.proc for s in self._sessions.values() if s.live and s.proc is not None]
-        for proc in procs:
-            _signal_group(proc, signal.SIGKILL)
+            live = [(s.proc, 0.0) for s in self._sessions.values() if s.live and s.proc is not None]
+        kill_after_grace(live, math.inf)

@@ -136,6 +136,15 @@ def wait_until(predicate, timeout: float, interval: float = 0.02):
         time.sleep(interval)
 
 
+def process_alive(pid: int) -> bool:
+    """True while pid runs; a zombie or a reaped process counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 @pytest.fixture
 def two_node_cluster() -> ClusterState:
     return make_cluster(8, 8)

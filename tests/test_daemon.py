@@ -13,13 +13,14 @@ import time
 
 import pytest
 
-from conftest import make_pbs_script, make_spec, wait_until
+from conftest import make_pbs_script, make_spec, process_alive, wait_until
 from miniq import journal as journal_mod
 from miniq import protocol
 from miniq.cli import Client, CommandFailed
 from miniq.daemon import Daemon, DaemonConfig, load_config, main
 from miniq.errors import BindFailed, ConfigError, JournalCorrupt
 from miniq.journal import EVENT_SESSION_CREATED, Journal, read_entries
+from miniq.runtime import GRACE_SECONDS
 from miniq.sched import JobStatus, Node, Outcome, status_from_code
 
 TOKEN = "hunter2"
@@ -260,6 +261,23 @@ class TestLifecycleOverWire:
         assert wait_until(lambda: running.proc.poll() is not None, 5)
         client.close()
 
+    def test_cancel_kills_children_that_ignore_sigterm(self, daemon, tmp_path):
+        # The shell dies on SIGTERM; its child ignores it and must get the
+        # group's SIGKILL once the grace runs out.
+        client = connect(daemon)
+        body = "sh -c 'trap \"\" TERM; echo $$ > child.pid; exec sleep 30' &\nwait"
+        job_id = submit_script(
+            client, make_pbs_script("stubborn", 1, 1, 600, body=body),
+            str(tmp_path))["payload"]["job_id"]
+        pid_file = tmp_path / "child.pid"
+        assert wait_until(lambda: pid_file.exists() and pid_file.read_text().strip(), 5)
+        child = int(pid_file.read_text())
+        client.request({"type": "cancel", "job_id": job_id})
+        time.sleep(0.5)
+        assert process_alive(child)
+        assert wait_until(lambda: not process_alive(child), GRACE_SECONDS + 2)
+        client.close()
+
     def test_cancel_unknown_job(self, daemon):
         client = connect(daemon)
         response = client.request({"type": "cancel", "job_id": 999})
@@ -430,6 +448,23 @@ class TestSessionsOverWire:
 
         assert wait_until(attached_count, 5)
         client.request({"type": "session_kill", "name": "survivor"})
+        client.close()
+
+    def test_kill_escalates_for_session_ignoring_sigterm(self, daemon):
+        client = connect(daemon)
+        code = ("import signal, time\n"
+                "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+                "print('ready', flush=True)\n"
+                "time.sleep(30)")
+        client.request({"type": "session_create", "name": "stubborn",
+                        "command": [sys.executable, "-c", code]})
+        session = daemon.sessions.get("stubborn")
+        assert wait_until(lambda: b"ready" in session.ring.snapshot(), 5)
+        client.request({"type": "session_kill", "name": "stubborn"})
+        time.sleep(0.5)
+        assert session.proc.returncode is None
+        assert wait_until(lambda: session.proc.returncode is not None, GRACE_SECONDS + 2)
+        assert session.proc.returncode == -signal.SIGKILL
         client.close()
 
 

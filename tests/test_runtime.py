@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import signal
 import sys
 import time
 
 import pytest
 
-from conftest import wait_until
+from conftest import process_alive, wait_until
 from miniq.errors import (
     DuplicateSession,
     InvalidCommand,
@@ -17,9 +18,11 @@ from miniq.errors import (
 )
 from miniq.jobspec import parse_script
 from miniq.runtime import (
+    GRACE_SECONDS,
     RingBuffer,
     SessionRegistry,
     collect_exits,
+    kill_after_grace,
     launch_job,
     poll_walltime,
 )
@@ -27,7 +30,7 @@ from miniq.runtime import (
 
 def launch(tmp_path, script: str, *, job_id: int = 1, dialect_hint: str = "#PBS -N t\n"):
     spec = parse_script(dialect_hint + script).spec
-    return spec, launch_job(spec, {"n1": 1}, job_id, str(tmp_path), now=time.monotonic())
+    return spec, launch_job(spec, job_id, str(tmp_path), now=time.monotonic())
 
 
 class TestLaunchJob:
@@ -45,11 +48,10 @@ class TestLaunchJob:
     def test_merge_stderr_single_file(self, tmp_path):
         script = "#PBS -N t\n#PBS -j oe\necho out\necho err >&2\n"
         spec = parse_script(script).spec
-        job = launch_job(spec, {"n1": 1}, 1, str(tmp_path), now=0.0)
+        job = launch_job(spec, 1, str(tmp_path), now=0.0)
         job.proc.wait(timeout=10)
         data = (tmp_path / "t.o1").read_bytes()
         assert b"out" in data and b"err" in data
-        assert job.stderr_path is None
         assert not (tmp_path / "t.e1").exists()
 
     def test_split_stderr_two_files(self, tmp_path):
@@ -70,14 +72,14 @@ class TestLaunchJob:
         target.mkdir()
         script = f"#SBATCH --job-name=t\n#SBATCH --output={target}/out-%j.txt\necho hi\n"
         spec = parse_script(script).spec
-        job = launch_job(spec, {"n1": 1}, 3, str(tmp_path), now=0.0)
+        job = launch_job(spec, 3, str(tmp_path), now=0.0)
         job.proc.wait(timeout=10)
         assert (target / "out-3.txt").read_bytes().strip() == b"hi"
 
     def test_missing_submit_dir_raises(self, tmp_path):
         spec = parse_script("#PBS -N t\ntrue\n").spec
         with pytest.raises(SpawnFailed):
-            launch_job(spec, {"n1": 1}, 1, str(tmp_path / "nope"), now=0.0)
+            launch_job(spec, 1, str(tmp_path / "nope"), now=0.0)
 
     def test_nonzero_exit_code_propagates(self, tmp_path):
         spec, job = launch(tmp_path, "exit 3\n")
@@ -109,24 +111,25 @@ class TestWalltime:
         assert poll_walltime([job], time.monotonic()) == [job.job_id]
         assert poll_walltime([job], time.monotonic()) == []
 
-    def test_sigkill_escalation_for_stubborn_process(self, tmp_path):
+    def test_kill_after_grace_escalates_stubborn_process(self, tmp_path):
         spec, job = launch(tmp_path, "trap '' TERM\nsleep 30\n")
         wait_until(lambda: (tmp_path / "t.o1").exists(), 2)
         time.sleep(0.2)  # let the shell install the trap
         job.deadline = time.monotonic() - 0.01
         now = time.monotonic()
-        assert poll_walltime([job], now, grace=0.3) == [job.job_id]
+        assert poll_walltime([job], now) == [job.job_id]
+        dying = [(job.proc, now)]
+        assert kill_after_grace(dying, now + GRACE_SECONDS - 0.1) == dying
+        time.sleep(0.1)
         assert job.proc.poll() is None  # shrugged off SIGTERM
-        wait_until(lambda: time.monotonic() > now + 0.4, 1)
-        poll_walltime([job], time.monotonic(), grace=0.3)
-        assert job.proc.wait(timeout=5) is not None
+        assert wait_until(lambda: kill_after_grace(dying, now + GRACE_SECONDS) == [], 5)
+        assert job.proc.returncode == -signal.SIGKILL
 
-    def test_collect_exits_skips_timed_out(self, tmp_path):
-        spec, job = launch(tmp_path, "true\n")
-        job.proc.wait(timeout=10)
-        assert collect_exits([job]) == [(1, 0)]
-        job.term_sent_at = 1.0
-        assert collect_exits([job]) == []
+    def test_collect_exits_kills_background_children(self, tmp_path):
+        spec, job = launch(tmp_path, "sleep 30 &\necho $! > child.pid\n")
+        assert wait_until(lambda: collect_exits([job]), 5) == [(1, 0)]
+        child = int((tmp_path / "child.pid").read_text())
+        assert wait_until(lambda: not process_alive(child), 2)
 
 
 class TestRingBuffer:
