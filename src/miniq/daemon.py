@@ -37,7 +37,6 @@ from .errors import (
 from .jobspec import Dialect, parse_script
 from .protocol import data_frame, end_frame, err, ok
 from .runtime import (
-    RunningJob,
     SessionRegistry,
     collect_exits,
     kill_after_grace,
@@ -45,7 +44,7 @@ from .runtime import (
     poll_walltime,
     terminate,
 )
-from .sched import ClusterState, Node, Outcome, status_from_code
+from .sched import ClusterState, JobStatus, Node, Outcome, status_from_code
 
 DEFAULT_TICK_INTERVAL_S = 0.2
 MIN_TICK_INTERVAL_S = 0.01
@@ -144,7 +143,6 @@ class Daemon:
         for name, created_at in recovered.lost_sessions:
             self.sessions.adopt_lost(name, created_at)
 
-        self._running: dict[int, RunningJob] = {}
         # Every process group sent SIGTERM (timed out, cancelled, killed
         # session), with when; the tick SIGKILLs it after the grace.
         self._dying: list[tuple[Popen, float]] = []
@@ -183,7 +181,8 @@ class Daemon:
             except OSError:
                 pass
         with self._mu:
-            running = [(rj.proc, 0.0) for rj in self._running.values()]
+            running = [(rec.proc, 0.0) for rec in self.state.running.values()
+                       if rec.proc is not None]
             self._dying = kill_after_grace(self._dying + running, math.inf)
         self.sessions.shutdown()
         with self._mu:
@@ -203,16 +202,10 @@ class Daemon:
     def tick_once(self, now: float) -> None:
         """Reap exits, enforce walltimes, journal session ends, start jobs."""
         with self._mu:
-            active = list(self._running.values())
-            for job_id, code in collect_exits(active):
-                self.state.transition(job_id, Outcome.exit(code), now)
-                self._journal_ended(job_id)
-                del self._running[job_id]
-
-            for job_id in poll_walltime(active, now):
-                self.state.transition(job_id, Outcome.timeout(), now)
-                self._journal_ended(job_id)
-                self._dying.append((self._running.pop(job_id).proc, now))
+            for job_id, code in collect_exits(self.state.running.values()):
+                self._end(job_id, Outcome.exit(code), now)
+            for job_id in poll_walltime(self.state.running.values(), now):
+                self._dying.append((self._end(job_id, Outcome.timeout(), now), now))
             self._dying = kill_after_grace(self._dying, now)
 
             for name in self.sessions.drain_ended():
@@ -228,15 +221,16 @@ class Daemon:
                     at=time.time(),
                 )
                 try:
-                    self._running[event.job_id] = launch_job(
-                        rec.spec, event.job_id, rec.submit_dir, now=now
-                    )
+                    rec.proc = launch_job(rec.spec, event.job_id, rec.submit_dir)
                 except MiniqError as exc:
-                    self.state.transition(event.job_id, Outcome.daemon_failure(str(exc)), now)
-                    self._journal_ended(event.job_id)
+                    self._end(event.job_id, Outcome.daemon_failure(str(exc)), now)
 
-    def _journal_ended(self, job_id: int) -> None:
-        rec = self.state.jobs[job_id]
+    def _end(self, job_id: int, outcome: Outcome, now: float) -> Popen | None:
+        """End a job: apply ``outcome``, journal its ``ended`` entry, and take
+        the process from its record.  Returns that process, or None for a job
+        that never had one; signalling it is the caller's part."""
+        rec = self.state.transition(job_id, outcome, now)
+        proc, rec.proc = rec.proc, None
         self.journal.append(
             journal_mod.EVENT_ENDED,
             {
@@ -247,6 +241,7 @@ class Daemon:
             },
             at=time.time(),
         )
+        return proc
 
     # ----- request handling -------------------------------------------- #
 
@@ -315,13 +310,11 @@ class Daemon:
             return err("invalid-request", "cancel needs a job_id"), None
         now = self._clock()
         with self._mu:
-            rec = self.state.transition(job_id, Outcome.cancel(), now)
-            running = self._running.pop(job_id, None)
-            if running is not None:
-                terminate(running.proc)
-                self._dying.append((running.proc, now))
-            self._journal_ended(job_id)
-            return ok({"job_id": job_id, "state": rec.state.code}), None
+            proc = self._end(job_id, Outcome.cancel(), now)
+            if proc is not None:
+                terminate(proc)
+                self._dying.append((proc, now))
+        return ok({"job_id": job_id, "state": JobStatus.CANCELLED.code}), None
 
     def _handle_session_create(self, message: dict):
         name = message.get("name")
@@ -329,10 +322,9 @@ class Daemon:
         if not isinstance(name, str) or not isinstance(command, list):
             return err("invalid-request", "session_create needs a name and command list"), None
         with self._mu:
-            self.sessions.create(name, command, self._clock())
-            self.journal.append(
-                journal_mod.EVENT_SESSION_CREATED, {"name": name}, at=time.time()
-            )
+            at = time.time()
+            self.sessions.create(name, command, at)
+            self.journal.append(journal_mod.EVENT_SESSION_CREATED, {"name": name}, at=at)
         return ok({"name": name}), None
 
     def _handle_session_list(self, message: dict):

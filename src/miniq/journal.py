@@ -140,12 +140,6 @@ class Journal:
         self._next_seq = next_seq
         self._fh = open(path, "ab")
 
-    @classmethod
-    def open(cls, path: str) -> "Journal":
-        entries = read_entries(path)
-        _repair_tail(path, entries)
-        return cls(path, next_seq=len(entries) + 1)
-
     def append(self, event: str, data: dict, at: float) -> JournalEntry:
         entry = JournalEntry(seq=self._next_seq, at=at, event=event, data=data)
         self._fh.write(entry.to_json().encode("utf-8") + b"\n")
@@ -195,8 +189,8 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
                 f"malformed {entry.event} entry at seq {entry.seq}: {reason}", seq=entry.seq
             ) from None
 
-    # Child processes cannot survive the daemon: anything still Running in
-    # the replay was killed with it.
+    # Anything still Running in the replay has no daemon watching it: a
+    # clean shutdown killed it, and after a SIGKILL it may run on unwatched.
     for rec in cluster.jobs.values():
         if rec.state is JobStatus.RUNNING:
             rec.state = JobStatus.FAILED

@@ -17,6 +17,7 @@ import queue
 import signal
 import subprocess
 import threading
+from collections.abc import Iterable
 from subprocess import Popen
 
 from .errors import (
@@ -27,6 +28,7 @@ from .errors import (
     UnknownSession,
 )
 from .jobspec import JobSpec, expand_output_template, job_environment, validate_job_name
+from .sched import JobRecord
 
 GRACE_SECONDS = 2.0
 DEFAULT_RING_CAPACITY = 1024 * 1024
@@ -42,24 +44,32 @@ def _signal_group(proc: Popen, signum: int) -> None:
         pass
 
 
+def _signal_unreaped(proc: Popen, signum: int) -> None:
+    """Signal the group unless its leader is reaped already.  The check and
+    the signal hold the Popen's own reaping lock, so a poll() or wait() on
+    another thread (a session's pump, the tick) cannot reap the leader
+    between them."""
+    with proc._waitpid_lock:
+        if proc.returncode is None:
+            _signal_group(proc, signum)
+
+
 def terminate(proc: Popen) -> None:
     """SIGTERM the group unless its leader is reaped already."""
-    if proc.returncode is None:
-        _signal_group(proc, signal.SIGTERM)
+    _signal_unreaped(proc, signal.SIGTERM)
 
 
 def kill_after_grace(dying: list[tuple[Popen, float]], now: float) -> list[tuple[Popen, float]]:
     """SIGKILL the group of each (leader, SIGTERM time) entry ``GRACE_SECONDS``
     after its SIGTERM, then reap the leader; returns the entries still
-    waiting.  A job's group is swept even if its leader died on SIGTERM, as
-    only this reaps a listed job's leader.  A session's pump thread reaps its
-    own leader, hence the returncode check: once it has, the group is left
-    alone.  ``now=math.inf`` kills them all."""
+    waiting.  A group is swept even if its leader died on SIGTERM: only this
+    reaps a listed job's leader, and a session's pump thread sweeps the group
+    before it reaps its own, so a group whose leader is reaped is left alone.
+    ``now=math.inf`` kills them all."""
     waiting = []
     for proc, term_sent_at in dying:
         if now >= term_sent_at + GRACE_SECONDS:
-            if proc.returncode is None:
-                _signal_group(proc, signal.SIGKILL)
+            _signal_unreaped(proc, signal.SIGKILL)
             if proc.poll() is not None:
                 continue
         waiting.append((proc, term_sent_at))
@@ -69,15 +79,6 @@ def kill_after_grace(dying: list[tuple[Popen, float]], now: float) -> list[tuple
 # --------------------------------------------------------------------- #
 # supervised jobs
 # --------------------------------------------------------------------- #
-
-class RunningJob:
-    __slots__ = ("job_id", "proc", "deadline")
-
-    def __init__(self, job_id: int, proc: Popen, deadline: float):
-        self.job_id = job_id
-        self.proc = proc
-        self.deadline = deadline  # math.inf once sent SIGTERM
-
 
 def output_paths(spec: JobSpec, job_id: int, submit_dir: str) -> tuple[str, str | None]:
     """Expanded sink paths; relative templates land in the submit directory."""
@@ -93,8 +94,9 @@ def output_paths(spec: JobSpec, job_id: int, submit_dir: str) -> tuple[str, str 
     return stdout_path, stderr_path
 
 
-def launch_job(spec: JobSpec, job_id: int, submit_dir: str, *, now: float) -> RunningJob:
-    """Spawn the job body under /bin/sh with sinks opened before the process.
+def launch_job(spec: JobSpec, job_id: int, submit_dir: str) -> Popen:
+    """Spawn the job body under /bin/sh with sinks opened before the process;
+    returns the leader, for the job's record to hold.
 
     The job's exit code is the shell's exit code (its last command); failing
     lines such as unavailable ``module load`` commands do not abort the rest.
@@ -106,7 +108,7 @@ def launch_job(spec: JobSpec, job_id: int, submit_dir: str, *, now: float) -> Ru
     stdout_path, stderr_path = output_paths(spec, job_id, submit_dir)
     try:
         stdout_file = open(stdout_path, "wb")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise SpawnFailed(f"cannot open stdout sink: {exc}") from exc
     if spec.output.merge_stderr:
         stderr_target = subprocess.STDOUT
@@ -114,12 +116,12 @@ def launch_job(spec: JobSpec, job_id: int, submit_dir: str, *, now: float) -> Ru
     else:
         try:
             stderr_file = open(stderr_path, "wb")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             stdout_file.close()
             raise SpawnFailed(f"cannot open stderr sink: {exc}") from exc
         stderr_target = stderr_file
     try:
-        proc = Popen(
+        return Popen(
             ["/bin/sh", "-c", script],
             cwd=submit_dir,
             env=env,
@@ -128,41 +130,37 @@ def launch_job(spec: JobSpec, job_id: int, submit_dir: str, *, now: float) -> Ru
             stdin=subprocess.DEVNULL,
             start_new_session=True,
         )
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise SpawnFailed(str(exc)) from exc
     finally:
         stdout_file.close()
         if stderr_file is not None:
             stderr_file.close()
 
-    return RunningJob(job_id=job_id, proc=proc, deadline=now + spec.walltime_s)
 
-
-def poll_walltime(jobs: list[RunningJob] | set[RunningJob], now: float) -> list[int]:
-    """Enforce walltime deadlines; returns job ids newly timed out.
-
-    A job strictly past its deadline gets SIGTERM and is reported once, for
-    the caller to list as dying.  A job using exactly its limit is spared.
-    """
+def poll_walltime(recs: Iterable[JobRecord], now: float) -> list[int]:
+    """SIGTERM each running job strictly past ``start_time + walltime``;
+    returns their ids, for the caller to end them and list them as dying.
+    A job using exactly its limit is spared."""
     timed_out: list[int] = []
-    for job in jobs:
-        if now > job.deadline and job.proc.returncode is None:
-            terminate(job.proc)
-            job.deadline = math.inf
-            timed_out.append(job.job_id)
+    for rec in recs:
+        if now > rec.start_time + rec.spec.walltime_s and rec.proc.returncode is None:
+            terminate(rec.proc)
+            timed_out.append(rec.id)
     return timed_out
 
 
-def collect_exits(jobs: list[RunningJob]) -> list[tuple[int, int]]:
-    """(job_id, exit_code) for jobs whose process has finished on its own.
-    A leader reaped here has its group SIGKILLed in the same call, so
+def collect_exits(recs: Iterable[JobRecord]) -> list[tuple[int, int]]:
+    """(job_id, exit_code) for running jobs whose process has finished on its
+    own.  A leader reaped here has its group SIGKILLed in the same call, so
     nothing the job left in the background outlives it."""
     finished = []
-    for job in jobs:
-        if job.proc.returncode is None and job.proc.poll() is not None:
-            _signal_group(job.proc, signal.SIGKILL)
-        if job.proc.returncode is not None:
-            finished.append((job.job_id, job.proc.returncode))
+    for rec in recs:
+        proc = rec.proc
+        if proc.returncode is None and proc.poll() is not None:
+            _signal_group(proc, signal.SIGKILL)
+        if proc.returncode is not None:
+            finished.append((rec.id, proc.returncode))
     return finished
 
 
@@ -204,8 +202,7 @@ class StreamEnd:
 class Attachment:
     """One client's view of a session: buffered replay, then live chunks."""
 
-    def __init__(self, session_name: str, truncated: bool):
-        self.session_name = session_name
+    def __init__(self, truncated: bool):
         self.truncated = truncated
         self.end_reason: str | None = None
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
@@ -235,29 +232,24 @@ class Attachment:
 
 
 class Session:
-    __slots__ = ("name", "command", "created_at", "proc", "ring", "live", "lost", "exit_code",
-                 "attachments")
+    __slots__ = ("name", "created_at", "proc", "ring", "live", "lost", "attachments")
 
     def __init__(
         self,
         name: str,
-        command: tuple[str, ...],
         created_at: float,
         proc: Popen | None = None,
         ring: RingBuffer | None = None,
         live: bool = True,
         lost: bool = False,
-        exit_code: int | None = None,
         attachments: list[Attachment] | None = None,
     ):
         self.name = name
-        self.command = command
-        self.created_at = created_at
+        self.created_at = created_at  # wall-clock seconds, as journaled
         self.proc = proc
         self.ring = RingBuffer() if ring is None else ring
         self.live = live
         self.lost = lost
-        self.exit_code = exit_code
         self.attachments = [] if attachments is None else attachments
 
     @property
@@ -286,7 +278,6 @@ class SessionRegistry:
                 raise DuplicateSession(f"session {name!r} already exists")
             session = Session(
                 name=name,
-                command=tuple(command),
                 created_at=now,
                 ring=RingBuffer(self._ring_capacity),
             )
@@ -300,7 +291,7 @@ class SessionRegistry:
                     start_new_session=True,
                     bufsize=0,
                 )
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 raise SpawnFailed(str(exc)) from exc
             self._sessions[name] = session
         pump = threading.Thread(
@@ -310,19 +301,27 @@ class SessionRegistry:
         return session
 
     def _pump(self, session: Session) -> None:
-        stream = session.proc.stdout
+        proc = session.proc
         while True:
-            chunk = stream.read(65536)
+            chunk = proc.stdout.read(65536)
             if not chunk:
                 break
             with self._lock:
                 session.ring.append(chunk)
                 for attachment in session.attachments:
                     attachment._push(chunk)
-        session.proc.wait()
+        # Wait for the leader without reaping it: while it is a zombie its
+        # group id is still ours to signal, so whatever it left running is
+        # swept before the leader is reaped.  A leader reaped already means
+        # kill_after_grace swept the group and reaped it.
+        try:
+            os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
+        except ChildProcessError:
+            pass
+        _signal_unreaped(proc, signal.SIGKILL)
+        proc.wait()
         with self._lock:
             session.live = False
-            session.exit_code = session.proc.returncode
             registered = self._sessions.get(session.name) is session
             reason = "exit" if registered else "killed"
             for attachment in session.attachments:
@@ -337,7 +336,7 @@ class SessionRegistry:
             session = self._sessions.get(name)
             if session is None or session.lost:
                 raise UnknownSession(f"no session named {name!r}")
-            attachment = Attachment(name, truncated=session.ring.truncated)
+            attachment = Attachment(truncated=session.ring.truncated)
             replay = session.ring.snapshot()
             if replay:
                 attachment._push(replay)
@@ -395,7 +394,6 @@ class SessionRegistry:
         with self._lock:
             self._sessions[name] = Session(
                 name=name,
-                command=(),
                 created_at=created_at,
                 proc=None,
                 live=False,

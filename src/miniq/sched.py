@@ -104,7 +104,7 @@ _OUTCOME_TO_STATUS = {
 
 class JobRecord:
     __slots__ = ("id", "spec", "submit_dir", "state", "submit_time", "start_time",
-                 "end_time", "allocation", "exit_code", "reason", "row")
+                 "end_time", "allocation", "exit_code", "reason", "row", "proc")
 
     def __init__(
         self,
@@ -132,12 +132,16 @@ class JobRecord:
         self.reason = reason
         # The status row of a finished job, which never changes again.
         self.row = row
+        # The leader process while the job runs, set and cleared by the
+        # daemon; the scheduler never reads it.
+        self.proc = None
 
     def __eq__(self, other):
-        """Field by field, leaving out ``row``, a cache of the others."""
+        """Field by field, leaving out ``row``, a cache of the others, and
+        ``proc``, which replay cannot rebuild."""
         if other.__class__ is not JobRecord:
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__[:-1])
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__[:-2])
 
 
 StartEvent = namedtuple("StartEvent", "job_id allocation")
@@ -274,14 +278,14 @@ def shadow_time(head_request: ResourceRequest, state: "ClusterState") -> tuple[f
 class ClusterState:
     """Node inventory, FIFO queue and job ledger; single-writer."""
 
-    def __init__(self, nodes: list[Node], clock_start: float = 0.0):
+    def __init__(self, nodes: list[Node]):
         if not nodes:
             raise ValueError("cluster needs at least one node")
         self.nodes = nodes
         self.queue: list[int] = []
         self.jobs: dict[int, JobRecord] = {}
         self.running: dict[int, JobRecord] = {}  # the Running subset of jobs
-        self.clock = clock_start
+        self.clock = 0.0
         self._next_id = 1
         self._by_id = {node.id: node for node in nodes}
         # Shapes known to fit an idle cluster.  Nodes never change their

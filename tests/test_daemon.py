@@ -254,11 +254,12 @@ class TestLifecycleOverWire:
             client, make_pbs_script("runner", 1, 1, 600, body="sleep 600"),
             str(tmp_path))["payload"]["job_id"]
         assert wait_until(lambda: job_state(client, job_id) == "R", 5)
-        running = daemon._running.get(job_id)
-        assert running is not None
+        proc = daemon.state.jobs[job_id].proc
+        assert proc is not None
         client.request({"type": "cancel", "job_id": job_id})
         assert job_state(client, job_id) == "CA"
-        assert wait_until(lambda: running.proc.poll() is not None, 5)
+        assert daemon.state.jobs[job_id].proc is None
+        assert wait_until(lambda: proc.poll() is not None, 5)
         client.close()
 
     def test_cancel_kills_children_that_ignore_sigterm(self, daemon, tmp_path):
@@ -363,6 +364,77 @@ class TestLifecycleOverWire:
         client.close()
 
 
+class TestEndPath:
+    def test_every_end_takes_the_process_and_journals_once(self, tmp_path):
+        daemon = Daemon(daemon_config(tmp_path, slots=4, nodes=1))
+        try:
+            def submit(name, body, walltime_s=600, submit_dir=str(tmp_path)):
+                response, _ = daemon.handle_request({
+                    "type": "submit", "submit_dir": submit_dir,
+                    "script": make_pbs_script(name, 1, 1, walltime_s, body=body)})
+                return response["payload"]["job_id"]
+
+            exits = submit("exits", "true")
+            late = submit("late", "sleep 30", walltime_s=1)
+            cancelled = submit("cancelled", "sleep 30")
+            unspawnable = submit("unspawnable", "true", submit_dir=str(tmp_path / "missing"))
+            jobs = daemon.state.jobs
+            now = time.monotonic()
+            daemon.tick_once(now)  # starts all four; the last cannot open its output
+            procs = {job_id: jobs[job_id].proc for job_id in (exits, late, cancelled)}
+            assert None not in procs.values()
+
+            def exited():
+                daemon.tick_once(now)
+                return jobs[exits].state is JobStatus.COMPLETED
+
+            daemon.handle_request({"type": "cancel", "job_id": cancelled})
+            assert wait_until(exited, 5)
+            assert jobs[late].state is JobStatus.RUNNING
+            daemon.tick_once(now + 1.5)  # past the 1 s walltime of late
+            daemon.tick_once(now + 1.6)  # an ended job is not reported again
+
+            ended = [e.data["job_id"] for e in read_entries(daemon.config.journal_path)
+                     if e.event == "ended"]
+            expected = {exits: "CD", late: "TO", cancelled: "CA", unspawnable: "F"}
+            for job_id, code in expected.items():
+                assert jobs[job_id].state.code == code
+                assert jobs[job_id].proc is None
+                assert ended.count(job_id) == 1
+            assert [proc for proc, _ in daemon._dying] == [procs[cancelled], procs[late]]
+        finally:
+            daemon.shutdown()
+
+    def test_unopenable_submit_dir_fails_the_job_and_the_tick_goes_on(self, tmp_path):
+        daemon = Daemon(daemon_config(tmp_path, slots=4, nodes=1))
+        try:
+            def submit(name, submit_dir):
+                response, _ = daemon.handle_request({
+                    "type": "submit", "submit_dir": submit_dir,
+                    "script": make_pbs_script(name, 1, 1, 600, body="true")})
+                return response["payload"]["job_id"]
+
+            # An absolute path with a NUL byte passes the submit check, and
+            # opening the output sink in it raises ValueError, not OSError.
+            bad = submit("bad", str(tmp_path) + "/\x00x")
+            now = time.monotonic()
+            daemon.tick_once(now)
+            rec = daemon.state.jobs[bad]
+            assert rec.state is JobStatus.FAILED
+            assert rec.proc is None
+            assert "null byte" in rec.reason
+
+            good = submit("good", str(tmp_path))
+
+            def completed():
+                daemon.tick_once(time.monotonic())
+                return daemon.state.jobs[good].state is JobStatus.COMPLETED
+
+            assert wait_until(completed, 5)
+        finally:
+            daemon.shutdown()
+
+
 class TestSessionsOverWire:
     def counter_command(self, n: int, delay: float = 0.0) -> list[str]:
         code = f"import time\nfor i in range({n}):\n    print(i, flush=True)\n    time.sleep({delay})"
@@ -449,6 +521,54 @@ class TestSessionsOverWire:
         assert wait_until(attached_count, 5)
         client.request({"type": "session_kill", "name": "survivor"})
         client.close()
+
+    def test_kill_sweeps_group_when_leader_dies_on_sigterm(self, daemon):
+        # The leader dies on SIGTERM; its child ignores it and holds no end
+        # of the output pipe, so the session's output ends with the leader.
+        client = connect(daemon)
+        script = "(trap '' TERM; exec sleep 30) >/dev/null 2>&1 & echo $!; wait"
+        client.request({"type": "session_create", "name": "orphaning",
+                        "command": ["sh", "-c", script]})
+        session = daemon.sessions.get("orphaning")
+        assert wait_until(lambda: session.ring.snapshot().endswith(b"\n"), 5)
+        child = int(session.ring.snapshot())
+
+        def trap_installed():  # the trap comes before the exec
+            try:
+                with open(f"/proc/{child}/comm") as fh:
+                    return fh.read() == "sleep\n"
+            except FileNotFoundError:
+                return False
+
+        assert wait_until(trap_installed, 5)
+        client.request({"type": "session_kill", "name": "orphaning"})
+        assert wait_until(lambda: session.proc.returncode is not None, 5)
+        assert session.proc.returncode == -signal.SIGTERM
+        assert wait_until(lambda: not process_alive(child), GRACE_SECONDS + 2)
+        client.close()
+
+    def test_created_at_is_the_journaled_wall_time(self, tmp_path):
+        first = Daemon(daemon_config(tmp_path))
+        first.start()
+        try:
+            client = connect(first)
+            client.request({"type": "session_create", "name": "timed",
+                            "command": ["sleep", "30"]})
+            listed = client.request({"type": "session_list"})["payload"]["sessions"]
+            client.close()
+        finally:
+            first.shutdown()
+        created = [e for e in read_entries(first.config.journal_path)
+                   if e.event == EVENT_SESSION_CREATED]
+        assert [row["created_at"] for row in listed] == [created[0].at]
+
+        second = Daemon(daemon_config(tmp_path))  # the session is lost now
+        try:
+            response, _ = second.handle_request({"type": "session_list"})
+        finally:
+            second.shutdown()
+        assert [(row["lost"], row["created_at"]) for row in response["payload"]["sessions"]] \
+            == [(True, created[0].at)]
 
     def test_kill_escalates_for_session_ignoring_sigterm(self, daemon):
         client = connect(daemon)
@@ -551,7 +671,7 @@ class TestServeLifecycle:
 
     def test_startup_reads_journal_once(self, tmp_path, monkeypatch):
         path = str(tmp_path / "journal.ndjson")
-        journal = Journal.open(path)
+        journal = Journal(path)
         journal.append(EVENT_SESSION_CREATED, {"name": "a"}, at=1.0)
         journal.close()
         with open(path, "ab") as fh:

@@ -99,7 +99,7 @@ class LiveDaemonSim:
 
     def __init__(self, path):
         self.state = ClusterState(fresh_nodes())
-        self.journal = Journal.open(str(path))
+        self.journal = Journal(str(path))
         self.now = 0
 
     def submit(self, spec):
@@ -134,7 +134,7 @@ class LiveDaemonSim:
 
 class TestJournalFile:
     def test_seq_gapless_from_one(self, tmp_path):
-        journal = Journal.open(str(tmp_path / "j"))
+        journal = Journal(str(tmp_path / "j"))
         for i in range(3):
             entry = journal.append(EVENT_SESSION_CREATED, {"name": f"s{i}"}, at=float(i))
             assert entry.seq == i + 1
@@ -178,7 +178,7 @@ class TestJournalFile:
         path = tmp_path / "j"
         good = json.dumps({"seq": 1, "at": 0.0, "event": "session_created", "name": "a"})
         path.write_text(good + "\n" + '{"seq": 2, "at":')
-        journal = Journal.open(str(path))
+        journal = Journal(str(path), next_seq=recover(str(path), fresh_nodes()).next_seq)
         journal.append(EVENT_SESSION_ENDED, {"name": "a"}, at=1.0)
         journal.close()
         entries = read_entries(str(path))
@@ -291,7 +291,7 @@ class TestRecover:
 
     def test_sessions_without_end_are_lost(self, tmp_path):
         path = tmp_path / "j"
-        journal = Journal.open(str(path))
+        journal = Journal(str(path))
         journal.append(EVENT_SESSION_CREATED, {"name": "kept"}, at=1.0)
         journal.append(EVENT_SESSION_CREATED, {"name": "closed"}, at=2.0)
         journal.append(EVENT_SESSION_ENDED, {"name": "closed"}, at=3.0)

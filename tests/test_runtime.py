@@ -26,11 +26,16 @@ from miniq.runtime import (
     launch_job,
     poll_walltime,
 )
+from miniq.sched import JobRecord, JobStatus
 
 
 def launch(tmp_path, script: str, *, job_id: int = 1, dialect_hint: str = "#PBS -N t\n"):
+    """A Running job record started now, holding its process."""
     spec = parse_script(dialect_hint + script).spec
-    return spec, launch_job(spec, job_id, str(tmp_path), now=time.monotonic())
+    rec = JobRecord(id=job_id, spec=spec, submit_dir=str(tmp_path), state=JobStatus.RUNNING,
+                    start_time=time.monotonic())
+    rec.proc = launch_job(spec, job_id, str(tmp_path))
+    return spec, rec
 
 
 class TestLaunchJob:
@@ -48,8 +53,7 @@ class TestLaunchJob:
     def test_merge_stderr_single_file(self, tmp_path):
         script = "#PBS -N t\n#PBS -j oe\necho out\necho err >&2\n"
         spec = parse_script(script).spec
-        job = launch_job(spec, 1, str(tmp_path), now=0.0)
-        job.proc.wait(timeout=10)
+        launch_job(spec, 1, str(tmp_path)).wait(timeout=10)
         data = (tmp_path / "t.o1").read_bytes()
         assert b"out" in data and b"err" in data
         assert not (tmp_path / "t.e1").exists()
@@ -72,14 +76,13 @@ class TestLaunchJob:
         target.mkdir()
         script = f"#SBATCH --job-name=t\n#SBATCH --output={target}/out-%j.txt\necho hi\n"
         spec = parse_script(script).spec
-        job = launch_job(spec, 3, str(tmp_path), now=0.0)
-        job.proc.wait(timeout=10)
+        launch_job(spec, 3, str(tmp_path)).wait(timeout=10)
         assert (target / "out-3.txt").read_bytes().strip() == b"hi"
 
     def test_missing_submit_dir_raises(self, tmp_path):
         spec = parse_script("#PBS -N t\ntrue\n").spec
         with pytest.raises(SpawnFailed):
-            launch_job(spec, 1, str(tmp_path / "nope"), now=0.0)
+            launch_job(spec, 1, str(tmp_path / "nope"))
 
     def test_nonzero_exit_code_propagates(self, tmp_path):
         spec, job = launch(tmp_path, "exit 3\n")
@@ -89,14 +92,14 @@ class TestLaunchJob:
 class TestWalltime:
     def test_overrunning_job_is_killed(self, tmp_path):
         spec, job = launch(tmp_path, "sleep 30\n")
-        job.deadline = time.monotonic() - 0.01  # already past
+        job.start_time -= spec.walltime_s + 0.01  # already past
         events = poll_walltime([job], time.monotonic())
-        assert events == [job.job_id]
+        assert events == [job.id]
         assert job.proc.wait(timeout=5) is not None
 
     def test_exact_deadline_not_killed(self, tmp_path):
         spec, job = launch(tmp_path, "sleep 1\n")
-        events = poll_walltime([job], now=job.deadline)  # strict >
+        events = poll_walltime([job], now=job.start_time + spec.walltime_s)  # strict >
         assert events == []
         job.proc.wait(timeout=10)
 
@@ -105,19 +108,13 @@ class TestWalltime:
         job.proc.wait(timeout=10)
         assert poll_walltime([job], time.monotonic()) == []
 
-    def test_timeout_reported_once(self, tmp_path):
-        spec, job = launch(tmp_path, "sleep 30\n")
-        job.deadline = time.monotonic() - 0.01
-        assert poll_walltime([job], time.monotonic()) == [job.job_id]
-        assert poll_walltime([job], time.monotonic()) == []
-
     def test_kill_after_grace_escalates_stubborn_process(self, tmp_path):
         spec, job = launch(tmp_path, "trap '' TERM\nsleep 30\n")
         wait_until(lambda: (tmp_path / "t.o1").exists(), 2)
         time.sleep(0.2)  # let the shell install the trap
-        job.deadline = time.monotonic() - 0.01
+        job.start_time -= spec.walltime_s + 0.01
         now = time.monotonic()
-        assert poll_walltime([job], now) == [job.job_id]
+        assert poll_walltime([job], now) == [job.id]
         dying = [(job.proc, now)]
         assert kill_after_grace(dying, now + GRACE_SECONDS - 0.1) == dying
         time.sleep(0.1)
@@ -278,6 +275,14 @@ class TestSessions:
         registry.create("reuse", py_counter(2), now=1.0)
         rows = [row for row in registry.rows() if row["name"] == "reuse"]
         assert len(rows) == 1 and rows[0]["live"] is True
+
+    def test_session_ending_on_its_own_takes_its_group(self):
+        registry = SessionRegistry()
+        session = registry.create(
+            "leaves_child", ["sh", "-c", "sleep 30 >/dev/null 2>&1 & echo $!"], now=0.0)
+        assert wait_until(lambda: not session.live, 5)
+        child = int(session.ring.snapshot())
+        assert wait_until(lambda: not process_alive(child), 2)
 
     def test_drain_ended_reports_natural_exits(self):
         registry = SessionRegistry()

@@ -66,6 +66,8 @@ def test_job_record_equality_ignores_row():
     state.snapshot(now=3)  # keeps the finished job's row on its record
     assert rec.row is not None and twin.row is None
     assert rec == twin
+    twin.proc = object()  # a process only the live daemon can hold
+    assert rec == twin
     twin.exit_code = 1
     assert rec != twin
 
