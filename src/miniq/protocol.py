@@ -55,8 +55,15 @@ def err(code: str, message: str, **extra) -> dict:
     return {"ok": False, "code": code, "payload": payload}
 
 
-def data_frame(chunk: bytes) -> dict:
-    return {"type": "data", "bytes": base64.b64encode(chunk).decode("ascii")}
+def data_frame(chunk: bytes) -> str:
+    """The wire line of one data frame, ready for ``send_message``.
+
+    It is the same bytes as encoding ``{"type": "data", "bytes": <base64>}``
+    with ``json.dumps``: the base64 alphabet ``[A-Za-z0-9+/=]`` holds no
+    character JSON escapes, so the payload goes between the quotes as it is
+    and skips the encoder's passes over a string of up to 1.4 MB.
+    """
+    return '{"type":"data","bytes":"' + base64.b64encode(chunk).decode("ascii") + '"}\n'
 
 
 def decode_data_frame(frame: dict) -> bytes:

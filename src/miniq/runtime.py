@@ -191,7 +191,7 @@ class RingBuffer:
 
 
 class StreamEnd:
-    """Terminator delivered to attachments: reason is exit|killed|detached|lost."""
+    """Terminator delivered to attachments: reason is exit|killed|detached."""
 
     __slots__ = ("reason",)
 

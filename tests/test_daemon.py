@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import json
+import random
 import signal
 import socket
 import subprocess
@@ -20,7 +21,7 @@ from miniq.cli import Client, CommandFailed
 from miniq.daemon import Daemon, DaemonConfig, load_config, main
 from miniq.errors import BindFailed, ConfigError, JournalCorrupt
 from miniq.journal import EVENT_SESSION_CREATED, Journal, read_entries
-from miniq.runtime import GRACE_SECONDS
+from miniq.runtime import DEFAULT_RING_CAPACITY, GRACE_SECONDS
 from miniq.sched import JobStatus, Node, Outcome, status_from_code
 
 TOKEN = "hunter2"
@@ -468,6 +469,33 @@ class TestSessionsOverWire:
         response = client.request({"type": "attach", "name": "my_session_name"})
         assert response["code"] == "unknown-session"
         client.close()
+
+    def test_reattach_replays_truncated_binary_ring(self, daemon, tmp_path):
+        output = random.Random(11).randbytes(1_200_000)  # not valid UTF-8
+        with pytest.raises(UnicodeDecodeError):
+            output.decode()
+        (tmp_path / "output.bin").write_bytes(output)
+        client = connect(daemon)
+        client.request({"type": "session_create", "name": "binary",
+                        "command": ["cat", str(tmp_path / "output.bin")]})
+
+        def ended():
+            rows = client.request({"type": "session_list"})["payload"]["sessions"]
+            return not rows[0]["live"]
+
+        assert wait_until(ended, 5)
+        client.close()
+
+        attach_client = connect(daemon)
+        response = attach_client.request({"type": "attach", "name": "binary"})
+        assert response["payload"]["truncated"] is True
+        lines = [attach_client.reader.readline(), attach_client.reader.readline()]
+        attach_client.close()
+        assert len(lines[0]) < protocol.MAX_LINE_BYTES
+        frames = [json.loads(line) for line in lines]
+        assert [frame["type"] for frame in frames] == ["data", "end"]
+        assert protocol.decode_data_frame(frames[0]) == output[-DEFAULT_RING_CAPACITY:]
+        assert frames[1]["reason"] == "exit"
 
     def test_duplicate_session_name(self, daemon):
         client = connect(daemon)
