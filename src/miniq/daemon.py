@@ -306,7 +306,7 @@ class Daemon:
 
     def _handle_cancel(self, message: dict):
         job_id = message.get("job_id")
-        if not isinstance(job_id, int):
+        if type(job_id) is not int:  # not a bool, which is an int subclass
             return err("invalid-request", "cancel needs a job_id"), None
         now = self._clock()
         with self._mu:

@@ -37,6 +37,9 @@ PBS_DEFAULT_STDERR = "%x.e%j"
 SLURM_DEFAULT_STDOUT = "slurm-%j.out"
 
 _FEATURE_RE = re.compile(r"^[a-z0-9]+$")
+# Output templates: %j is the job id, %x the job name, and no other % is allowed.
+_PLACEHOLDER_RE = re.compile(r"%([jx])")
+_BAD_PLACEHOLDER_RE = re.compile(r"%(?![jx])")
 
 
 class Dialect(enum.Enum):
@@ -173,16 +176,8 @@ def validate_job_name(name: str) -> None:
 
 def validate_output_template(template: str) -> None:
     """Only %j (job id) and %x (job name) may appear after a percent sign."""
-    i = 0
-    while i < len(template):
-        if template[i] == "%":
-            if i + 1 >= len(template) or template[i + 1] not in ("j", "x"):
-                raise BadOutputTemplate(
-                    f"unsupported placeholder in output template {template!r}"
-                )
-            i += 2
-        else:
-            i += 1
+    if _BAD_PLACEHOLDER_RE.search(template):
+        raise BadOutputTemplate(f"unsupported placeholder in output template {template!r}")
 
 
 def _split_lines(script_text: str) -> list[str]:
@@ -490,23 +485,8 @@ def parse_script(
 
 def expand_output_template(template: str, job_id: int, job_name: str) -> str:
     """Substitute %j (decimal job id) and %x (job name); literals pass through."""
-    out: list[str] = []
-    i = 0
-    while i < len(template):
-        c = template[i]
-        if c == "%" and i + 1 < len(template):
-            nxt = template[i + 1]
-            if nxt == "j":
-                out.append(str(job_id))
-                i += 2
-                continue
-            if nxt == "x":
-                out.append(job_name)
-                i += 2
-                continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    return _PLACEHOLDER_RE.sub(
+        lambda match: str(job_id) if match[1] == "j" else job_name, template)
 
 
 def job_environment(spec: JobSpec, job_id: int, submit_dir: str) -> dict[str, str]:

@@ -169,7 +169,8 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
     """Rebuild daemon state by replaying the journal in sequence order.
 
     Jobs Running at the crash (Started without Ended) become
-    Failed("daemon-restart"); sessions without a SessionEnded entry are
+    Failed("daemon-restart"), and Pending jobs the given nodes can never hold
+    Failed("unsatisfiable"); sessions without a SessionEnded entry are
     reported as lost.  The file is read once.  Replay writes no entry: once
     it succeeds, it only cuts off a torn final write or adds a complete last
     entry's missing newline, so that ``Journal(path, next_seq=...)`` can
@@ -191,10 +192,16 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
 
     # Anything still Running in the replay has no daemon watching it: a
     # clean shutdown killed it, and after a SIGKILL it may run on unwatched.
+    # A Pending job the configured nodes can no longer hold would block the
+    # head of the queue for good.
     for rec in cluster.jobs.values():
         if rec.state is JobStatus.RUNNING:
             rec.state = JobStatus.FAILED
             rec.reason = "daemon-restart"
+        elif rec.state is JobStatus.PENDING and not cluster.satisfiable(rec.spec.resources):
+            cluster.queue.remove(rec.id)
+            rec.state = JobStatus.FAILED
+            rec.reason = "unsatisfiable"
 
     _repair_tail(path, entries)
     return RecoveredState(

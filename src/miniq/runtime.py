@@ -32,6 +32,7 @@ from .sched import JobRecord
 
 GRACE_SECONDS = 2.0
 DEFAULT_RING_CAPACITY = 1024 * 1024
+READ_BYTES = 65536  # the most a session's pump or an attachment reads at once
 
 
 def _signal_group(proc: Popen, signum: int) -> None:
@@ -169,19 +170,36 @@ def collect_exits(recs: Iterable[JobRecord]) -> list[tuple[int, int]]:
 # --------------------------------------------------------------------- #
 
 class RingBuffer:
-    """Keeps the most recent <= capacity bytes; remembers if it ever dropped."""
+    """Keeps the most recent <= capacity bytes of a stream; ``start`` is the
+    stream offset of its oldest byte, so ``start > 0`` once it ever dropped."""
 
     def __init__(self, capacity: int = DEFAULT_RING_CAPACITY):
         self.capacity = capacity
         self._data = bytearray()
-        self.truncated = False
+        self.start = 0
+
+    @property
+    def end(self) -> int:
+        """The stream offset just past the newest byte."""
+        return self.start + len(self._data)
+
+    @property
+    def truncated(self) -> bool:
+        return self.start > 0
 
     def append(self, chunk: bytes) -> None:
         self._data.extend(chunk)
         overflow = len(self._data) - self.capacity
         if overflow > 0:
             del self._data[:overflow]
-            self.truncated = True
+            self.start += overflow
+
+    def read(self, offset: int, size: int) -> bytes:
+        """Up to ``size`` bytes from stream offset ``offset``."""
+        at = offset - self.start
+        if at < 0:
+            raise ValueError(f"offset {offset} was dropped: the ring starts at {self.start}")
+        return bytes(self._data[at:at + size])
 
     def snapshot(self) -> bytes:
         return bytes(self._data)
@@ -190,38 +208,38 @@ class RingBuffer:
         return len(self._data)
 
 
-class StreamEnd:
-    """Terminator delivered to attachments: reason is exit|killed|detached."""
-
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        self.reason = reason
-
-
 class Attachment:
-    """One client's view of a session: buffered replay, then live chunks."""
+    """One client's cursor into a session's ring: the replay and the live
+    stream are one read path.  A reader that falls a full ring behind holds
+    the session's output back, so nothing it has not read is dropped."""
 
-    def __init__(self, truncated: bool):
-        self.truncated = truncated
-        self.end_reason: str | None = None
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+    def __init__(self, session: Session):
+        self.session = session
+        self.cursor = session.ring.start  # stream offset of the next byte to read
+        self.truncated = session.ring.truncated
+        self.end_reason: str | None = None  # exit|killed|detached
 
-    def _push(self, item: bytes | StreamEnd) -> None:
-        self._queue.put(item)
+    def _unread(self) -> int:
+        if self.end_reason == "detached":  # what was not yet sent is dropped
+            return 0
+        return self.session.ring.end - self.cursor
 
     def read(self, timeout: float | None = None) -> bytes | None:
-        """Next chunk, or None once the stream has ended.
+        """Next chunk of at most ``READ_BYTES``, or None once the stream has
+        ended.
 
         Raises queue.Empty on timeout.
         """
-        if self.end_reason is not None:
-            return None
-        item = self._queue.get(timeout=timeout)
-        if isinstance(item, StreamEnd):
-            self.end_reason = item.reason
-            return None
-        return item
+        changed = self.session.changed
+        with changed:
+            if not changed.wait_for(lambda: self._unread() or self.end_reason, timeout):
+                raise queue.Empty
+            if not self._unread():
+                return None
+            chunk = self.session.ring.read(self.cursor, READ_BYTES)
+            self.cursor += len(chunk)
+            changed.notify_all()  # the pump may wait for this reader
+            return chunk
 
     def __iter__(self):
         while True:
@@ -232,25 +250,18 @@ class Attachment:
 
 
 class Session:
-    __slots__ = ("name", "created_at", "proc", "ring", "live", "lost", "attachments")
+    __slots__ = ("name", "created_at", "proc", "ring", "live", "lost", "attachments", "changed")
 
-    def __init__(
-        self,
-        name: str,
-        created_at: float,
-        proc: Popen | None = None,
-        ring: RingBuffer | None = None,
-        live: bool = True,
-        lost: bool = False,
-        attachments: list[Attachment] | None = None,
-    ):
+    def __init__(self, name: str, created_at: float, lock: threading.Lock, ring_capacity: int):
         self.name = name
         self.created_at = created_at  # wall-clock seconds, as journaled
-        self.proc = proc
-        self.ring = RingBuffer() if ring is None else ring
-        self.live = live
-        self.lost = lost
-        self.attachments = [] if attachments is None else attachments
+        self.proc: Popen | None = None
+        self.ring = RingBuffer(ring_capacity)
+        self.live = True
+        self.lost = False
+        self.attachments: list[Attachment] = []
+        # Notified when the ring grows, a reader advances or the stream ends.
+        self.changed = threading.Condition(lock)
 
     @property
     def attached(self) -> int:
@@ -276,11 +287,7 @@ class SessionRegistry:
             existing = self._sessions.get(name)
             if existing is not None and existing.live:
                 raise DuplicateSession(f"session {name!r} already exists")
-            session = Session(
-                name=name,
-                created_at=now,
-                ring=RingBuffer(self._ring_capacity),
-            )
+            session = Session(name, now, self._lock, self._ring_capacity)
             try:
                 session.proc = Popen(
                     command,
@@ -301,15 +308,19 @@ class SessionRegistry:
         return session
 
     def _pump(self, session: Session) -> None:
-        proc = session.proc
+        proc, ring, changed = session.proc, session.ring, session.changed
+        # A read never exceeds the ring, so one append drops nothing a reader
+        # that has caught up still needs.
+        read_size = min(READ_BYTES, ring.capacity)
         while True:
-            chunk = proc.stdout.read(65536)
+            chunk = proc.stdout.read(read_size)
             if not chunk:
                 break
-            with self._lock:
-                session.ring.append(chunk)
-                for attachment in session.attachments:
-                    attachment._push(chunk)
+            with changed:
+                oldest_kept = ring.end + len(chunk) - ring.capacity
+                changed.wait_for(lambda: all(a.cursor >= oldest_kept for a in session.attachments))
+                ring.append(chunk)
+                changed.notify_all()
         # Wait for the leader without reaping it: while it is a zombie its
         # group id is still ours to signal, so whatever it left running is
         # swept before the leader is reaped.  A leader reaped already means
@@ -320,43 +331,44 @@ class SessionRegistry:
             pass
         _signal_unreaped(proc, signal.SIGKILL)
         proc.wait()
-        with self._lock:
+        with changed:
             session.live = False
             registered = self._sessions.get(session.name) is session
             reason = "exit" if registered else "killed"
             for attachment in session.attachments:
-                attachment._push(StreamEnd(reason))
+                attachment.end_reason = reason
             session.attachments.clear()
+            changed.notify_all()
             if registered:
                 self._ended_unreported.append(session.name)
 
     def attach(self, name: str) -> Attachment:
-        """Replay everything the ring holds, then follow the live stream."""
+        """Read everything the ring holds, then follow the live stream."""
         with self._lock:
             session = self._sessions.get(name)
             if session is None or session.lost:
                 raise UnknownSession(f"no session named {name!r}")
-            attachment = Attachment(truncated=session.ring.truncated)
-            replay = session.ring.snapshot()
-            if replay:
-                attachment._push(replay)
+            attachment = Attachment(session)
             if session.live:
                 session.attachments.append(attachment)
             else:
-                attachment._push(StreamEnd("exit"))
+                attachment.end_reason = "exit"
             return attachment
 
     def detach(self, name: str, attachment: Attachment) -> None:
-        """Drop one client; the process and ring are untouched."""
+        """Drop one client; the process and ring are untouched.  Bytes not yet
+        sent to it are dropped from its stream; they stay in the ring.  The
+        session is the attachment's own, so a client of a killed session,
+        whose pump may be waiting for it, can still detach."""
         with self._lock:
-            session = self._sessions.get(name)
-            if session is None:
-                raise UnknownSession(f"no session named {name!r}")
-            try:
-                session.attachments.remove(attachment)
-            except ValueError:
-                raise NotAttached(f"not attached to session {name!r}") from None
-            attachment._push(StreamEnd("detached"))
+            session = attachment.session
+            if attachment not in session.attachments:
+                if name not in self._sessions:
+                    raise UnknownSession(f"no session named {name!r}")
+                raise NotAttached(f"not attached to session {name!r}")
+            session.attachments.remove(attachment)
+            attachment.end_reason = "detached"
+            session.changed.notify_all()
 
     def rows(self) -> list[dict]:
         with self._lock:
@@ -377,8 +389,8 @@ class SessionRegistry:
 
     def kill(self, name: str) -> Popen | None:
         """Drop the name and SIGTERM the process group; returns the process
-        if it was live, for the caller's dying list.  Attached clients get
-        what is already queued plus an end marker once the process dies."""
+        if it was live, for the caller's dying list.  Attached clients read
+        what the ring holds, then the end once the process dies."""
         with self._lock:
             session = self._sessions.pop(name, None)
             if session is None:
@@ -392,13 +404,9 @@ class SessionRegistry:
     def adopt_lost(self, name: str, created_at: float) -> None:
         """Register a tombstone for a session that did not survive a restart."""
         with self._lock:
-            self._sessions[name] = Session(
-                name=name,
-                created_at=created_at,
-                proc=None,
-                live=False,
-                lost=True,
-            )
+            tombstone = Session(name, created_at, self._lock, self._ring_capacity)
+            tombstone.live, tombstone.lost = False, True
+            self._sessions[name] = tombstone
 
     def drain_ended(self) -> list[str]:
         """Names of sessions that ended on their own since the last call."""

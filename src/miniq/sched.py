@@ -432,10 +432,8 @@ class ClusterState:
         if job_id is None:
             recs = self.jobs.values()
         else:
-            try:
-                rec = self.jobs.get(job_id)
-            except TypeError:  # an unhashable id from the wire matches no job
-                rec = None
+            # An id off the wire that is not an int (true, 1.0, [1]) matches no job.
+            rec = self.jobs.get(job_id) if type(job_id) is int else None
             recs = () if rec is None else (rec,)
         return [
             status_row(rec, now) for rec in recs if states is None or rec.state in states

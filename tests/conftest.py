@@ -124,6 +124,13 @@ def make_cluster(*slot_counts: int, features: tuple[frozenset, ...] | None = Non
     return ClusterState(nodes)
 
 
+def gated(gate, command: str) -> list[str]:
+    """A session command that runs the shell ``command`` once the file
+    ``gate`` exists, so that an attach made before the gate opens sees every
+    byte it writes."""
+    return ["sh", "-c", f'until [ -e "$0" ]; do sleep 0.01; done; exec {command}', str(gate)]
+
+
 def wait_until(predicate, timeout: float, interval: float = 0.02):
     """Poll until predicate() is truthy; returns its value (falsy on timeout)."""
     deadline = time.monotonic() + timeout

@@ -14,14 +14,14 @@ import time
 
 import pytest
 
-from conftest import make_pbs_script, make_spec, process_alive, wait_until
+from conftest import gated, make_pbs_script, make_spec, process_alive, wait_until
 from miniq import journal as journal_mod
 from miniq import protocol
 from miniq.cli import Client, CommandFailed
 from miniq.daemon import Daemon, DaemonConfig, load_config, main
 from miniq.errors import BindFailed, ConfigError, JournalCorrupt
 from miniq.journal import EVENT_SESSION_CREATED, Journal, read_entries
-from miniq.runtime import DEFAULT_RING_CAPACITY, GRACE_SECONDS
+from miniq.runtime import DEFAULT_RING_CAPACITY, GRACE_SECONDS, READ_BYTES
 from miniq.sched import JobStatus, Node, Outcome, status_from_code
 
 TOKEN = "hunter2"
@@ -286,6 +286,17 @@ class TestLifecycleOverWire:
         assert response["code"] == "no-such-job"
         client.close()
 
+    @pytest.mark.parametrize("job_id", [True, 1.0])
+    def test_job_id_that_is_not_an_int_names_no_job(self, daemon, tmp_path, job_id):
+        client = connect(daemon)
+        submit_script(client, make_pbs_script("a", 1, 1, 60, body="sleep 60"), str(tmp_path))
+        response = client.request({"type": "status", "job_id": job_id})
+        assert response["ok"] and response["payload"]["rows"] == []
+        response = client.request({"type": "cancel", "job_id": job_id})
+        assert response["code"] == "invalid-request"
+        assert job_state(client, 1) in ("PD", "R")
+        client.close()
+
     def test_status_filter_by_state(self, daemon, tmp_path):
         client = connect(daemon)
         submit_script(client, make_pbs_script("a", 1, 1, 60, body="sleep 60"),
@@ -489,13 +500,41 @@ class TestSessionsOverWire:
         attach_client = connect(daemon)
         response = attach_client.request({"type": "attach", "name": "binary"})
         assert response["payload"]["truncated"] is True
-        lines = [attach_client.reader.readline(), attach_client.reader.readline()]
+        frames = []
+        while not frames or frames[-1]["type"] == "data":
+            line = attach_client.reader.readline()
+            assert len(line) < protocol.MAX_LINE_BYTES
+            frames.append(json.loads(line))
         attach_client.close()
-        assert len(lines[0]) < protocol.MAX_LINE_BYTES
-        frames = [json.loads(line) for line in lines]
-        assert [frame["type"] for frame in frames] == ["data", "end"]
-        assert protocol.decode_data_frame(frames[0]) == output[-DEFAULT_RING_CAPACITY:]
-        assert frames[1]["reason"] == "exit"
+        count = DEFAULT_RING_CAPACITY // READ_BYTES  # 16 frames of 64 KiB
+        assert [frame["type"] for frame in frames] == ["data"] * count + ["end"]
+        chunks = [protocol.decode_data_frame(frame) for frame in frames[:-1]]
+        assert [len(chunk) for chunk in chunks] == [READ_BYTES] * count
+        assert b"".join(chunks) == output[-DEFAULT_RING_CAPACITY:]
+        assert frames[-1]["reason"] == "exit"
+
+    def test_stalled_attach_holds_the_session_back(self, daemon, tmp_path):
+        size = 32 * 1024 * 1024
+        go = tmp_path / "go"
+        client = connect(daemon)
+        client.request({"type": "session_create", "name": "flood",
+                        "command": gated(go, f"head -c {size} /dev/zero")})
+        attach_client = connect(daemon)
+        assert attach_client.request({"type": "attach", "name": "flood"})["ok"]
+        go.touch()
+        time.sleep(1.0)  # read nothing: the daemon may buffer a ring, not the stream
+        rows = client.request({"type": "session_list"})["payload"]["sessions"]
+        assert rows[0]["live"] is True
+        received = 0
+        while True:
+            frame = protocol.read_message(attach_client.reader)
+            if frame["type"] == "end":
+                assert frame["reason"] == "exit"
+                break
+            received += len(protocol.decode_data_frame(frame))
+        attach_client.close()
+        client.close()
+        assert received == size
 
     def test_duplicate_session_name(self, daemon):
         client = connect(daemon)

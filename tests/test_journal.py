@@ -251,6 +251,21 @@ class TestRecover:
         assert recovered.cluster.queue == [3]
         recovered.cluster.assert_conservation()
 
+    def test_pending_job_too_big_for_a_shrunk_cluster_fails(self, tmp_path):
+        path = tmp_path / "j"
+        sim = LiveDaemonSim(path)
+        big = sim.submit(make_spec(nodes=2, slots=4))
+        small = [sim.submit(make_spec()) for _ in range(2)]
+        sim.journal.close()
+        recovered = recover(str(path), [Node(id="n1", slots_total=4)])
+        cluster = recovered.cluster
+        assert cluster.jobs[big].state is JobStatus.FAILED
+        assert cluster.jobs[big].reason == "unsatisfiable"
+        assert cluster.queue == small
+        cluster.assert_conservation()
+        assert [event.job_id for event in cluster.tick(100.0)] == small
+        cluster.assert_conservation()
+
     def test_next_id_continues_after_recovery(self, tmp_path):
         path = tmp_path / "j"
         sim = LiveDaemonSim(path)

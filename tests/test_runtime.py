@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import signal
 import sys
+import threading
 import time
 
 import pytest
 
-from conftest import process_alive, wait_until
+from conftest import gated, process_alive, wait_until
 from miniq.errors import (
     DuplicateSession,
     InvalidCommand,
@@ -18,6 +19,7 @@ from miniq.errors import (
 )
 from miniq.jobspec import parse_script
 from miniq.runtime import (
+    DEFAULT_RING_CAPACITY,
     GRACE_SECONDS,
     RingBuffer,
     SessionRegistry,
@@ -138,6 +140,11 @@ class TestRingBuffer:
         ring.append(b"efghij")
         assert ring.snapshot() == b"cdefghij"
         assert ring.truncated is True
+        assert (ring.start, ring.end) == (2, 10)
+        assert ring.read(3, 4) == b"defg"
+        assert ring.read(8, 4) == b"ij"
+        with pytest.raises(ValueError):
+            ring.read(1, 4)  # dropped
 
 
 def py_counter(n: int, delay: float = 0.0) -> list[str]:
@@ -249,6 +256,56 @@ class TestSessions:
         replayed_then_live = b"".join(second)
         expected = b"".join(b"%d\n" % i for i in range(100))
         assert replayed_then_live == expected
+
+    def test_unread_attachment_holds_the_session_back(self, tmp_path):
+        size = 20_000_000
+        registry = SessionRegistry()
+        session = registry.create("flood", gated(tmp_path / "go", f"head -c {size} /dev/zero"),
+                                  now=0.0)
+        attachment = registry.attach("flood")
+        (tmp_path / "go").touch()
+        time.sleep(1.0)  # read nothing
+        assert session.live
+        assert len(session.ring) <= DEFAULT_RING_CAPACITY
+        assert sum(len(chunk) for chunk in attachment) == size
+        assert attachment.end_reason == "exit"
+
+    def test_readers_on_a_small_ring_each_get_every_byte(self, tmp_path):
+        registry = SessionRegistry(ring_capacity=4096)
+        registry.create("counted", gated(tmp_path / "go", "seq 1 100000"), now=0.0)
+        attachments = [registry.attach("counted") for _ in range(4)]
+        received = {}
+
+        def drain(i):
+            received[i] = b"".join(attachments[i])
+
+        readers = [threading.Thread(target=drain, args=(i,), daemon=True) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            (tmp_path / "go").touch()
+            for reader in readers:
+                reader.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        expected = b"".join(b"%d\n" % i for i in range(1, 100001))
+        assert [received[i] == expected for i in range(4)] == [True] * 4
+        assert [a.end_reason for a in attachments] == ["exit"] * 4
+
+    def test_detach_from_killed_session_releases_its_pump(self):
+        registry = SessionRegistry(ring_capacity=1024)
+        session = registry.create("stalled", ["head", "-c", "100000", "/dev/zero"], now=0.0)
+        attachment = registry.attach("stalled")
+        assert wait_until(lambda: len(session.ring) == 1024, 5)
+        registry.kill("stalled")
+        assert not wait_until(lambda: not session.live, 0.5)  # waits for the reader
+        registry.detach("stalled", attachment)
+        assert attachment.read(timeout=1) is None
+        assert attachment.end_reason == "detached"
+        assert wait_until(lambda: not session.live, 5)
 
     def test_ring_overflow_sets_truncated_for_next_attach(self):
         registry = SessionRegistry(ring_capacity=64)
