@@ -13,6 +13,7 @@ state mutation is meant to be serialized by a single writer.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import json
 from collections import namedtuple
@@ -40,13 +41,6 @@ class JobStatus(enum.Enum):
 TERMINAL_STATES = frozenset(
     {JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.TIMED_OUT, JobStatus.CANCELLED}
 )
-
-_LEGAL_TRANSITIONS = {
-    JobStatus.PENDING: frozenset({JobStatus.RUNNING, JobStatus.CANCELLED}),
-    JobStatus.RUNNING: frozenset(
-        {JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.TIMED_OUT, JobStatus.CANCELLED}
-    ),
-}
 
 _CODE_TO_STATUS = {status.code: status for status in JobStatus}
 
@@ -255,13 +249,11 @@ def shadow_time(head_request: ResourceRequest, state: "ClusterState") -> tuple[f
     ready = len(eligible) - len(short)
     when = state.clock
     if ready < needed:
-        for rec in sorted(state.running.values(),
-                          key=lambda rec: rec.start_time + rec.spec.walltime_s):
-            end = rec.start_time + rec.spec.walltime_s
+        for end, _, allocation in state.releases:
             if ready >= needed and end != when:
                 break  # every release at the shadow instant has been applied
             when = end
-            for node_id, freed in rec.allocation.items():
+            for node_id, freed in allocation.items():
                 if node_id in short:
                     free = short[node_id] + freed
                     if free >= slots:
@@ -285,6 +277,12 @@ class ClusterState:
         self.queue: list[int] = []
         self.jobs: dict[int, JobRecord] = {}
         self.running: dict[int, JobRecord] = {}  # the Running subset of jobs
+        # (start_time + walltime_s, id, allocation) per Running job, ascending.
+        self.releases: list[tuple[float, int, Allocation]] = []
+        # (last queued id examined, shadow time, reserved nodes) of the last
+        # pass, if it started nothing and no start or end has happened since;
+        # the reservation is None if that pass needed none.
+        self._settled: tuple[int, float | None, frozenset[str] | None] | None = None
         self.clock = 0.0
         self._next_id = 1
         self._by_id = {node.id: node for node in nodes}
@@ -337,29 +335,42 @@ class ClusterState:
         its shadow reservation and backfills later jobs that either finish by
         the shadow time or avoid the reserved nodes entirely.  One pass per
         tick, strict queue order.
+
+        After a pass that started nothing, later passes examine only the jobs
+        submitted since, until a job starts or ends: free slots change only
+        then, and a job held back by the reservation stays held back as time
+        passes, since ``now + walltime_s`` only grows.
         """
         if now < self.clock:
             raise ValueError(f"clock went backwards: {now} < {self.clock}")
         self.clock = now
         events: list[StartEvent] = []
 
-        while self.queue:
-            head = self.jobs[self.queue[0]]
-            allocation = first_fit(head.spec.resources, self.nodes)
-            if allocation is None:
-                break
-            events.append(self._start(head, allocation, now))
+        if self._settled is None:
+            while self.queue:
+                head = self.jobs[self.queue[0]]
+                allocation = first_fit(head.spec.resources, self.nodes)
+                if allocation is None:
+                    break
+                events.append(self._start(head, allocation, now))
+            if not self.queue:
+                return events
+            last, shadow, reserved = self.queue[0], None, None
+            rest = 1
+        else:
+            last, shadow, reserved = self._settled
+            rest = bisect.bisect_right(self.queue, last)  # the queue ascends by id
 
-        if backfill and len(self.queue) > 1:
-            head = self.jobs[self.queue[0]]
-            shadow, reserved = shadow_time(head.spec.resources, self)
+        if backfill and rest < len(self.queue):
+            last = self.queue[-1]
             # Free slots only shrink during the pass, so a shape that found
             # no placement finds none for the rest of it.  A placement found
             # holds until the next start; until then, later jobs of its shape
-            # reuse it.
+            # reuse it.  The reservation is computed at the first placement,
+            # which precedes every backfill start.
             unplaceable: set[ResourceRequest] = set()
             placed: dict[ResourceRequest, Allocation] = {}
-            for job_id in self.queue[1:]:
+            for job_id in self.queue[rest:]:
                 rec = self.jobs[job_id]
                 request = rec.spec.resources
                 if request in unplaceable:
@@ -371,10 +382,14 @@ class ClusterState:
                         unplaceable.add(request)
                         continue
                     placed[request] = allocation
+                if shadow is None:
+                    shadow, reserved = shadow_time(self.jobs[self.queue[0]].spec.resources, self)
                 ends_in_time = now + rec.spec.walltime_s <= shadow
                 if ends_in_time or reserved.isdisjoint(allocation):
                     events.append(self._start(rec, allocation, now))
                     placed.clear()
+        if not events:
+            self._settled = (last, shadow, reserved)
         return events
 
     def _start(self, rec: JobRecord, allocation: Allocation, now: float) -> StartEvent:
@@ -385,6 +400,8 @@ class ClusterState:
         rec.allocation = allocation
         self.queue.remove(rec.id)
         self.running[rec.id] = rec
+        bisect.insort(self.releases, (now + rec.spec.walltime_s, rec.id, allocation))
+        self._settled = None
         return StartEvent(job_id=rec.id, allocation=allocation)
 
     # -- lifecycle ----------------------------------------------------- #
@@ -398,17 +415,21 @@ class ClusterState:
         if rec is None:
             raise NoSuchJob(f"no such job {job_id}")
         target = _OUTCOME_TO_STATUS[outcome.kind]
-        legal = _LEGAL_TRANSITIONS.get(rec.state, frozenset())
-        if target not in legal:
-            raise InvalidTransition(
-                f"job {job_id}: {rec.state.name} does not accept {outcome.kind}"
-            )
+        # Every outcome may end a Running job; a Pending one accepts only a cancel.
         if rec.state is JobStatus.RUNNING:
             for node_id, slots in rec.allocation.items():
                 self._by_id[node_id].slots_free += slots
             del self.running[job_id]
-        else:  # leaving PENDING
+            releases = self.releases
+            del releases[bisect.bisect_left(releases, (rec.start_time + rec.spec.walltime_s,
+                                                       job_id))]
+        elif rec.state is JobStatus.PENDING and target is JobStatus.CANCELLED:
             self.queue.remove(job_id)
+        else:
+            raise InvalidTransition(
+                f"job {job_id}: {rec.state.name} does not accept {outcome.kind}"
+            )
+        self._settled = None
         rec.state = target
         rec.end_time = now
         rec.exit_code = outcome.exit_code
@@ -443,7 +464,8 @@ class ClusterState:
 
     def assert_conservation(self) -> None:
         """slots_total - slots_free on each node equals the slots bound to it
-        by Running jobs; ``running`` holds exactly the Running records; jobs
+        by Running jobs; ``running`` holds exactly the Running records, and
+        ``releases`` each of them once, in end order, with its allocation; jobs
         iterate in ascending id order; queue holds exactly the Pending ids in
         ascending order."""
         ids = list(self.jobs)
@@ -454,6 +476,10 @@ class ClusterState:
             raise AssertionError(
                 f"running index {sorted(self.running)} != Running ids {sorted(running)}"
             )
+        releases = sorted((rec.start_time + rec.spec.walltime_s, rec.id, rec.allocation)
+                          for rec in running.values())
+        if self.releases != releases:
+            raise AssertionError(f"releases {self.releases} != Running jobs by end {releases}")
         bound: dict[str, int] = {node.id: 0 for node in self.nodes}
         for rec in running.values():
             for node_id, slots in rec.allocation.items():

@@ -45,6 +45,7 @@ def run_cluster(
 
     starts: dict[int, int] = {}
     blocked_heads: list[int] = []
+    seen_heads: set[int] = set()  # blocked_heads as a set, for the membership test
     ends: list[tuple[int, int]] = []  # (completion instant, job id)
 
     def run_pass(t) -> bool:
@@ -54,7 +55,8 @@ def run_cluster(
             heapq.heappush(ends, (t + state.jobs[event.job_id].spec.walltime_s, event.job_id))
         if state.queue:
             head_index = index_of[state.queue[0]]
-            if head_index not in blocked_heads:
+            if head_index not in seen_heads:
+                seen_heads.add(head_index)
                 blocked_heads.append(head_index)
         return bool(events)
 

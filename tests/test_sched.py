@@ -246,7 +246,8 @@ class TestTick:
         events = two_node_cluster.tick(0)
         assert [e.job_id for e in events] == [first, second]
 
-    def _blocked_head_state(self):
+    @staticmethod
+    def _blocked_head_state():
         # n1 busy until t=100; the head needs both nodes.
         state = make_cluster(1, 1)
         blocker = state.submit(make_spec(nodes=1, slots=1, walltime_s=100), "/tmp", 0)
@@ -324,6 +325,17 @@ class TestTick:
         assert [state.jobs[j].state for j in (head, *blocked)] == [JobStatus.PENDING] * 6
         assert probed.count(ResourceRequest(nodes=1, slots_per_node=1)) == 1
 
+    def test_no_reservation_while_nothing_behind_the_head_fits(self, monkeypatch):
+        # n1 is held until t=100; the head and the jobs behind it all need
+        # both nodes, so no job has a placement to check against a shadow.
+        state, head = self._blocked_head_state()
+        wide = [state.submit(make_spec(nodes=2, slots=1, walltime_s=5), "/tmp", 20)
+                for _ in range(3)]
+        heads = TestSettledPass.count_shadows(monkeypatch)
+        assert state.tick(40) == []
+        assert heads == []
+        assert [state.jobs[j].state for j in (head, *wide)] == [JobStatus.PENDING] * 4
+
     def test_start_discards_reused_placement(self, monkeypatch):
         # n1's two slots are held until t=100; the head needs one slot on
         # each node, so all three are reserved.  The placement on n2 found
@@ -349,6 +361,82 @@ class TestTick:
         two_node_cluster.tick(10)
         with pytest.raises(ValueError):
             two_node_cluster.tick(9)
+
+
+class TestSettledPass:
+    """After a pass that starts nothing, the next examines only the jobs
+    submitted since; a start, an end or a cancel makes it examine the whole
+    queue again."""
+
+    @staticmethod
+    def count_shadows(monkeypatch) -> list:
+        heads = []
+
+        def counting_shadow_time(request, state):
+            heads.append(request)
+            return shadow_time(request, state)
+
+        monkeypatch.setattr(sched, "shadow_time", counting_shadow_time)
+        return heads
+
+    @staticmethod
+    def _settled_state():
+        # Both nodes are reserved for the head, so the job that fits on n2
+        # must end by t=100 to start; 40 + 70 > 100.
+        state, head = TestTick._blocked_head_state()
+        held = state.submit(make_spec(nodes=1, slots=1, walltime_s=70), "/tmp", 40)
+        assert state.tick(40) == []
+        (blocker,) = state.running
+        return state, blocker, head, held
+
+    def test_new_submits_alone_examine_only_the_new_jobs(self, monkeypatch):
+        # n1 and n3 are held until t=100 and the head needs three nodes, so
+        # n1-n3 are reserved and n4 is not.  The long job first-fits on n2,
+        # a reserved node, and waits.
+        state = make_cluster(1, 1, 1, 1)
+        held = [state.submit(make_spec(nodes=1, slots=1, walltime_s=wall), "/tmp", 0)
+                for wall in (100, 1, 100)]
+        state.tick(0)
+        state.transition(held[1], Outcome.exit(0), 1)
+        head = state.submit(make_spec(nodes=3, slots=1, walltime_s=10), "/tmp", 2)
+        long_job = state.submit(make_spec(nodes=1, slots=1, walltime_s=500), "/tmp", 2)
+        assert state.tick(5) == []
+
+        heads = self.count_shadows(monkeypatch)
+        probed = TestTick.count_probes(monkeypatch)
+        short = state.submit(make_spec(nodes=1, slots=1, walltime_s=10), "/tmp", 6)
+        assert state.tick(6) == [(short, {"n2": 1})]  # 6 + 10 <= 100
+        assert (heads, probed) == ([], [ResourceRequest(nodes=1, slots_per_node=1)])
+        # The start leaves n2 full, so the long job now first-fits on n4,
+        # outside the reservation: the pass a second later must see it.
+        assert state.tick(7) == [(long_job, {"n4": 1})]
+        assert state.jobs[head].state is JobStatus.PENDING
+        state.assert_conservation()
+
+    def test_end_makes_the_next_pass_examine_the_queue(self):
+        state, blocker, head, held = self._settled_state()
+        state.transition(blocker, Outcome.exit(0), 50)
+        assert state.tick(50) == [(head, {"n1": 1, "n2": 1})]
+        assert state.jobs[held].state is JobStatus.PENDING
+        state.assert_conservation()
+
+    def test_cancelled_head_makes_the_next_pass_examine_the_queue(self):
+        state, blocker, head, held = self._settled_state()
+        state.transition(head, Outcome.cancel(), 41)
+        assert state.tick(41) == [(held, {"n2": 1})]
+        state.assert_conservation()
+
+    def test_time_alone_starts_no_settled_job(self, monkeypatch):
+        # Past t=100 the blocker is overdue: the reservation still waits on
+        # its release, which only a transition applies.
+        state, blocker, head, held = self._settled_state()
+        heads = self.count_shadows(monkeypatch)
+        probed = TestTick.count_probes(monkeypatch)
+        for now in (41, 99, 100, 101, 150, 10_000):
+            assert state.tick(now) == []
+        assert (heads, probed) == ([], [])
+        assert [state.jobs[j].state for j in (head, held)] == [JobStatus.PENDING] * 2
+        state.assert_conservation()
 
 
 class TestTransition:
@@ -557,6 +645,52 @@ class TestReferenceReplay:
         assert len(starts) == len(trace)
         assert starts == expected
         state.assert_conservation()
+
+
+class TestArrivalsDifferential:
+    """``perfbench/backlog.py``'s trace generator at a smaller scale (8 nodes
+    of 4 slots, one tagged; two bursts of 100 jobs): on every seed each
+    start must equal ``perfbench/refsched.py``'s, and a replay in which
+    every pass examines the whole queue."""
+
+    def test_small_bursty_traces_match_reference_and_full_passes(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        backlog = importlib.import_module("backlog")
+        refsched = importlib.import_module("refsched")
+        for name, value in (("N_NODES", 8), ("SLOTS", 4), ("TAGGED", 1), ("BURST", 100),
+                            ("BURSTS", 2), ("NODES_W", ([1, 2, 4, 8], [50, 25, 15, 10])),
+                            ("PPN_W", ([1, 2, 4], [30, 40, 30]))):
+            monkeypatch.setattr(backlog, name, value)
+        heads = TestSettledPass.count_shadows(monkeypatch)
+
+        def replay(trace, specs, state, full_passes: bool) -> dict[int, int]:
+            if full_passes:
+                tick = state.tick
+
+                def full_tick(now):
+                    state._settled = None
+                    return tick(now)
+
+                state.tick = full_tick
+            starts: dict[int, int] = {}
+            for _ in backlog.replay(trace, specs, state, starts):
+                pass
+            assert len(starts) == len(trace)
+            state.assert_conservation()
+            return starts
+
+        shadows = [0, 0]
+        for seed in range(50):
+            trace, specs, state = backlog.setup(seed)
+            expected = refsched.simulate([backlog.SLOTS] * backlog.N_NODES,
+                                         backlog.node_features(), trace)
+            control = ClusterState([Node(n.id, n.slots_total, n.features) for n in state.nodes])
+            for cluster, full_passes in ((state, False), (control, True)):
+                before = len(heads)
+                assert replay(trace, specs, cluster, full_passes) == expected, (seed, full_passes)
+                shadows[full_passes] += len(heads) - before
+        # The settled skip was taken: it saved reservations.
+        assert shadows[0] < shadows[1], shadows
 
 
 class TestDeterminism:
