@@ -100,8 +100,6 @@ class Client:
         response = self.request(message)
         if not response["ok"]:
             detail = response["payload"].get("message", response["code"])
-            if "line" in response["payload"]:
-                detail = f"line {response['payload']['line']}: {detail}"
             raise CommandFailed(_exit_code_for(response["code"]), detail)
         return response["payload"]
 

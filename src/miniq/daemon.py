@@ -209,17 +209,11 @@ class Daemon:
             self._dying = kill_after_grace(self._dying, now)
 
             for name in self.sessions.drain_ended():
-                self.journal.append(
-                    journal_mod.EVENT_SESSION_ENDED, {"name": name}, at=time.time()
-                )
+                self.journal.session_ended(name, time.time())
 
             for event in self.state.tick(now):
                 rec = self.state.jobs[event.job_id]
-                self.journal.append(
-                    journal_mod.EVENT_STARTED,
-                    {"job_id": event.job_id, "allocation": event.allocation},
-                    at=time.time(),
-                )
+                self.journal.started(rec, time.time())
                 try:
                     rec.proc = launch_job(rec.spec, event.job_id, rec.submit_dir)
                 except MiniqError as exc:
@@ -231,16 +225,7 @@ class Daemon:
         that never had one; signalling it is the caller's part."""
         rec = self.state.transition(job_id, outcome, now)
         proc, rec.proc = rec.proc, None
-        self.journal.append(
-            journal_mod.EVENT_ENDED,
-            {
-                "job_id": job_id,
-                "state": rec.state.code,
-                "exit_code": rec.exit_code,
-                "reason": rec.reason,
-            },
-            at=time.time(),
-        )
+        self.journal.ended(rec, time.time())
         return proc
 
     # ----- request handling -------------------------------------------- #
@@ -253,7 +238,7 @@ class Daemon:
         which the connection then serves as a frame stream.
         """
         kind = message.get("type")
-        handler = self._handlers.get(kind)
+        handler = self._handlers.get(kind) if type(kind) is str else None
         if handler is None:
             return err("unknown-request", f"unknown request type {kind!r}"), None
         try:
@@ -267,26 +252,24 @@ class Daemon:
     def _handle_submit(self, message: dict):
         script = message.get("script")
         submit_dir = message.get("submit_dir")
-        if not isinstance(script, str) or not isinstance(submit_dir, str):
-            return err("invalid-request", "submit needs script text and submit_dir"), None
+        script_name = message.get("script_name", "")
+        if not all(isinstance(field, str) for field in (script, submit_dir, script_name)):
+            return err("invalid-request",
+                       "submit needs script text, submit_dir and a string script_name"), None
         if not os.path.isabs(submit_dir):
             return err("invalid-request", "submit_dir must be an absolute path"), None
-        dialect = None
-        if message.get("dialect"):
-            dialect = Dialect(message["dialect"])
+        dialect = message.get("dialect")
+        if dialect and dialect not in [known.value for known in Dialect]:
+            return err("invalid-request", f"unknown dialect {dialect!r}"), None
         parsed = parse_script(
             script,
-            dialect=dialect,
-            default_name=message.get("script_name") or "job",
+            dialect=Dialect(dialect) if dialect else None,
+            default_name=script_name or "job",
             strict=bool(message.get("strict", False)),
         )
         with self._mu:
             job_id = self.state.submit(parsed.spec, submit_dir, self._clock())
-            self.journal.append(
-                journal_mod.EVENT_SUBMITTED,
-                {"job_id": job_id, "spec": parsed.spec.to_dict(), "submit_dir": submit_dir},
-                at=time.time(),
-            )
+            self.journal.submitted(self.state.jobs[job_id], time.time())
         return ok({"job_id": job_id, "warnings": parsed.warnings}), None
 
     def _handle_status(self, message: dict):
@@ -319,12 +302,13 @@ class Daemon:
     def _handle_session_create(self, message: dict):
         name = message.get("name")
         command = message.get("command")
-        if not isinstance(name, str) or not isinstance(command, list):
-            return err("invalid-request", "session_create needs a name and command list"), None
+        if not (isinstance(name, str) and isinstance(command, list)
+                and all(isinstance(arg, str) for arg in command)):
+            return err("invalid-request", "session_create needs a name and a list of strings"), None
         with self._mu:
             at = time.time()
             self.sessions.create(name, command, at)
-            self.journal.append(journal_mod.EVENT_SESSION_CREATED, {"name": name}, at=at)
+            self.journal.session_created(name, at)
         return ok({"name": name}), None
 
     def _handle_session_list(self, message: dict):
@@ -338,9 +322,7 @@ class Daemon:
             proc = self.sessions.kill(name)
             if proc is not None:
                 self._dying.append((proc, self._clock()))
-            self.journal.append(
-                journal_mod.EVENT_SESSION_ENDED, {"name": name}, at=time.time()
-            )
+            self.journal.session_ended(name, time.time())
         return ok({"name": name}), None
 
     def _handle_attach(self, message: dict):

@@ -166,6 +166,8 @@ class ParsedScript:
 
 
 def validate_job_name(name: str) -> None:
+    if type(name) is not str:
+        raise BadName(f"job name must be a string, got {name!r}")
     if not name:
         raise BadName("job name must not be empty")
     if len(name) > MAX_NAME_LEN:

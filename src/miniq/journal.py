@@ -133,7 +133,8 @@ def _entry_from_doc(doc, index: int) -> JournalEntry:
 
 
 class Journal:
-    """Single-writer append handle; every append is flushed and fsynced."""
+    """Single-writer append handle; every append is flushed and fsynced.
+    The event writers below are the only code that builds an entry."""
 
     def __init__(self, path: str, next_seq: int = 1):
         self.path = path
@@ -148,6 +149,24 @@ class Journal:
         self._next_seq += 1
         return entry
 
+    def submitted(self, rec: JobRecord, at: float) -> JournalEntry:
+        data = {"job_id": rec.id, "spec": rec.spec.to_dict(), "submit_dir": rec.submit_dir}
+        return self.append(EVENT_SUBMITTED, data, at)
+
+    def started(self, rec: JobRecord, at: float) -> JournalEntry:
+        return self.append(EVENT_STARTED, {"job_id": rec.id, "allocation": rec.allocation}, at)
+
+    def ended(self, rec: JobRecord, at: float) -> JournalEntry:
+        data = {"job_id": rec.id, "state": rec.state.code, "exit_code": rec.exit_code,
+                "reason": rec.reason}
+        return self.append(EVENT_ENDED, data, at)
+
+    def session_created(self, name: str, at: float) -> JournalEntry:
+        return self.append(EVENT_SESSION_CREATED, {"name": name}, at)
+
+    def session_ended(self, name: str, at: float) -> JournalEntry:
+        return self.append(EVENT_SESSION_ENDED, {"name": name}, at)
+
     def close(self) -> None:
         if not self._fh.closed:
             self._fh.flush()
@@ -155,14 +174,9 @@ class Journal:
             self._fh.close()
 
 
-class RecoveredState:
-    __slots__ = ("cluster", "lost_sessions", "next_seq")
-
-    def __init__(self, cluster: ClusterState, lost_sessions: list[tuple[str, float]],
-                 next_seq: int):
-        self.cluster = cluster
-        self.lost_sessions = lost_sessions  # (name, created_at)
-        self.next_seq = next_seq  # the seq of the next entry to append
+# lost_sessions: (name, created_at) pairs; next_seq: the seq of the next
+# entry to append.
+RecoveredState = namedtuple("RecoveredState", "cluster lost_sessions next_seq")
 
 
 def recover(path: str, nodes: list[Node]) -> RecoveredState:

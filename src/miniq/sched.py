@@ -48,7 +48,7 @@ _CODE_TO_STATUS = {status.code: status for status in JobStatus}
 def status_from_code(code: str) -> JobStatus:
     try:
         return _CODE_TO_STATUS[code]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a code that cannot be hashed
         raise ValueError(f"unknown state code {code!r}") from None
 
 

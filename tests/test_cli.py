@@ -77,6 +77,22 @@ class TestSubmit:
         assert captured.out == ""
         assert "line 2" in captured.err
 
+    def test_daemon_parse_error_names_its_line_once(self, tmp_path, daemon):
+        # The daemon's message already begins with the line; its reply also
+        # carries the line as a field.
+        host, port = daemon.bound_address
+        client = Client(f"{host}:{port}", TOKEN)
+        client.connect()
+        try:
+            with pytest.raises(cli.CommandFailed) as excinfo:
+                client.expect_ok({"type": "submit", "submit_dir": str(tmp_path),
+                                  "script": "#!/bin/bash\n#PBS -l walltime=9:99:00\ntrue\n"})
+        finally:
+            client.close()
+        assert excinfo.value.exit_code == 1
+        assert str(excinfo.value).startswith("line 2: ")
+        assert str(excinfo.value).count("line 2") == 1
+
     def test_unreadable_script_exits_1(self, tmp_path, capsys):
         assert cli.main(["submit", str(tmp_path / "missing.pbs")]) == 1
 

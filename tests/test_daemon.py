@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import json
+import os
 import random
 import signal
 import socket
@@ -150,6 +151,40 @@ class TestSubmit:
         response = client.request({"type": "frobnicate"})
         assert response["code"] == "unknown-request"
         client.close()
+
+    @pytest.mark.parametrize("request_, code", [
+        pytest.param({"type": "submit", "script": make_pbs_script("a", 1, 1, 60),
+                      "dialect": "fortran"}, "invalid-request", id="unknown dialect"),
+        pytest.param({"type": "submit", "script": make_pbs_script("a", 1, 1, 60),
+                      "script_name": 5}, "invalid-request", id="script name that is a number"),
+        pytest.param({"type": "session_create", "name": "s", "command": ["sleep", 30]},
+                     "invalid-request", id="command argument that is a number"),
+        pytest.param({"type": "status", "state": ["R"]}, "invalid-request",
+                     id="state filter that is a list"),
+        pytest.param({"type": ["status"]}, "unknown-request", id="request type that is a list"),
+    ])
+    def test_malformed_field_answered_and_connection_kept(self, daemon, tmp_path, request_,
+                                                          code):
+        client = connect(daemon)
+        if request_["type"] == "submit":
+            request_ = {**request_, "submit_dir": str(tmp_path)}
+        assert client.request(request_)["code"] == code
+        assert client.request({"type": "status"})["payload"]["rows"] == []
+        assert client.request({"type": "session_list"})["payload"]["sessions"] == []
+        client.close()
+
+    def test_script_name_that_is_not_a_string_is_not_journaled(self, tmp_path):
+        # A spec named by a list would be refused by replay, and the daemon
+        # could not restart on its own journal.
+        first = Daemon(daemon_config(tmp_path))
+        try:
+            response, _ = first.handle_request({
+                "type": "submit", "script": "#!/bin/bash\n#PBS -l walltime=00:01:00\ntrue\n",
+                "submit_dir": str(tmp_path), "script_name": ["x"]})
+        finally:
+            first.shutdown()
+        Daemon(daemon_config(tmp_path)).shutdown()  # raises JournalCorrupt if it was journaled
+        assert response["code"] == "invalid-request"
 
     def test_submitted_entry_durable_before_response(self, daemon, tmp_path):
         # Write-ahead: the Submitted entry hits the journal before the client
@@ -366,6 +401,38 @@ class TestLifecycleOverWire:
             client.close()
         finally:
             second.shutdown()
+
+    def test_timed_out_failed_and_session_rows_after_restart(self, tmp_path):
+        # Ticked by hand, so the timed-out job's elapsed time is 1.5 s on
+        # the daemon's clock and on the journal's, far from a whole second.
+        first = Daemon(daemon_config(tmp_path))
+        try:
+            for name, walltime_s, submit_dir in (("late", 1, str(tmp_path)),
+                                                 ("unspawnable", 60, str(tmp_path / "missing"))):
+                first.handle_request({
+                    "type": "submit", "submit_dir": submit_dir,
+                    "script": make_pbs_script(name, 1, 1, walltime_s, body="sleep 30")})
+            os.makedirs(first.config.workdir_root)
+            first.handle_request({"type": "session_create", "name": "kept",
+                                  "command": ["sleep", "30"]})
+            first.tick_once(time.monotonic())
+            time.sleep(1.5)
+            first.tick_once(time.monotonic())
+            before = json.loads(first.handle_request({"type": "status"})[0])["payload"]["rows"]
+            sessions = first.handle_request({"type": "session_list"})[0]["payload"]["sessions"]
+        finally:
+            first.shutdown()
+        assert [(row["state"], row["elapsed_s"]) for row in before] == [("TO", 1), ("F", 0)]
+        assert [(row["name"], row["lost"]) for row in sessions] == [("kept", False)]
+
+        second = Daemon(daemon_config(tmp_path))
+        try:
+            after = json.loads(second.handle_request({"type": "status"})[0])["payload"]["rows"]
+            lost = second.handle_request({"type": "session_list"})[0]["payload"]["sessions"]
+        finally:
+            second.shutdown()
+        assert after == before
+        assert lost == [{**sessions[0], "live": False, "lost": True}]
 
     def test_walltime_timeout_over_wire(self, daemon, tmp_path):
         client = connect(daemon)
@@ -739,7 +806,7 @@ class TestServeLifecycle:
     def test_startup_reads_journal_once(self, tmp_path, monkeypatch):
         path = str(tmp_path / "journal.ndjson")
         journal = Journal(path)
-        journal.append(EVENT_SESSION_CREATED, {"name": "a"}, at=1.0)
+        journal.session_created("a", 1.0)
         journal.close()
         with open(path, "ab") as fh:
             fh.write(b'{"seq":2,"at":')  # torn by a crash mid-append
@@ -761,7 +828,7 @@ class TestServeLifecycle:
         try:
             assert reads == [path]
             assert opens == ["rb", "r+b", "ab"]  # read, cut the torn line, append
-            daemon.journal.append(EVENT_SESSION_CREATED, {"name": "b"}, at=2.0)
+            daemon.journal.session_created("b", 2.0)
         finally:
             daemon.shutdown()
         assert [e.seq for e in read_entries_once(path)] == [1, 2]

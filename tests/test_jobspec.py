@@ -198,6 +198,11 @@ class TestNormalize:
         with pytest.raises(BadName):
             parse_script(f"#SBATCH --job-name={'y' * 65}\n")
 
+    def test_name_that_is_not_a_string_rejected(self):
+        # JobSpec.from_dict refuses such a name, so no spec may hold one.
+        with pytest.raises(BadName):
+            parse_script("#PBS -l walltime=1:00:00\n", default_name=["x"])
+
     def test_invalid_resource_counts(self):
         with pytest.raises(InvalidResource):
             parse_script("#PBS -l nodes=0:ppn=8\n")

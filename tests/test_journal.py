@@ -7,19 +7,11 @@ import random
 
 import pytest
 
-from conftest import make_spec
+from conftest import make_pbs_script, make_spec
 from miniq.errors import JournalCorrupt
-from miniq.journal import (
-    EVENT_ENDED,
-    EVENT_SESSION_CREATED,
-    EVENT_SESSION_ENDED,
-    EVENT_STARTED,
-    EVENT_SUBMITTED,
-    Journal,
-    read_entries,
-    recover,
-)
-from miniq.sched import ClusterState, JobStatus, Node, Outcome
+from miniq.jobspec import parse_script
+from miniq.journal import EVENT_SESSION_ENDED, Journal, read_entries, recover
+from miniq.sched import ClusterState, JobRecord, JobStatus, Node, Outcome
 
 
 def _line(seq: int, name: str = "a") -> bytes:
@@ -90,12 +82,62 @@ PARITY_TABLE = [
 ]
 
 
+# The line the daemon wrote for each event before its writers moved into the
+# journal, verbatim: job 1 ran `true`; job 2, "b", could not open its output
+# in /nonexistent-dir; job 3 timed out; job 4 was cancelled while pending;
+# session "s" was created, then killed.
+_SPEC_B = parse_script(make_pbs_script("b", 1, 1, 60, body="true")).spec
+
+
+def _job(job_id: int, state=JobStatus.PENDING, exit_code=None, reason=None) -> JobRecord:
+    return JobRecord(job_id, _SPEC_B, "/nonexistent-dir", state, allocation={"n1": 1},
+                     exit_code=exit_code, reason=reason)
+
+
+ENTRY_FORMATS = [
+    pytest.param(
+        4, lambda journal: journal.submitted(_job(2), 4.0),
+        '{"at":4.0,"event":"submitted","job_id":2,"seq":4,"spec":{"body":["#!/bin/bash","",'
+        '"true",""],"dialect":"pbs","features":[],"merge_stderr":true,"name":"b","nodes":1,'
+        '"slots_per_node":1,"stderr_template":null,"stdout_template":"%x.o%j","walltime_s":60},'
+        '"submit_dir":"/nonexistent-dir"}', id="submitted"),
+    pytest.param(
+        5, lambda journal: journal.started(_job(2, JobStatus.RUNNING), 5.0),
+        '{"allocation":{"n1":1},"at":5.0,"event":"started","job_id":2,"seq":5}', id="started"),
+    pytest.param(
+        3, lambda journal: journal.ended(_job(1, JobStatus.COMPLETED, exit_code=0), 3.0),
+        '{"at":3.0,"event":"ended","exit_code":0,"job_id":1,"reason":null,"seq":3,"state":"CD"}',
+        id="ended CD"),
+    pytest.param(
+        6, lambda journal: journal.ended(_job(2, JobStatus.FAILED, reason=(
+            "cannot open stdout sink: [Errno 2] No such file or directory: "
+            "'/nonexistent-dir/b.o2'")), 6.0),
+        '{"at":6.0,"event":"ended","exit_code":null,"job_id":2,"reason":"cannot open stdout '
+        'sink: [Errno 2] No such file or directory: \'/nonexistent-dir/b.o2\'","seq":6,'
+        '"state":"F"}', id="ended F"),
+    pytest.param(
+        9, lambda journal: journal.ended(_job(3, JobStatus.TIMED_OUT), 9.0),
+        '{"at":9.0,"event":"ended","exit_code":null,"job_id":3,"reason":null,"seq":9,"state":"TO"}',
+        id="ended TO"),
+    pytest.param(
+        11, lambda journal: journal.ended(_job(4, JobStatus.CANCELLED), 11.0),
+        '{"at":11.0,"event":"ended","exit_code":null,"job_id":4,"reason":null,"seq":11,'
+        '"state":"CA"}', id="ended CA"),
+    pytest.param(
+        12, lambda journal: journal.session_created("s", 12.0),
+        '{"at":12.0,"event":"session_created","name":"s","seq":12}', id="session_created"),
+    pytest.param(
+        13, lambda journal: journal.session_ended("s", 13.0),
+        '{"at":13.0,"event":"session_ended","name":"s","seq":13}', id="session_ended"),
+]
+
+
 def fresh_nodes():
     return [Node(id="n1", slots_total=4), Node(id="n2", slots_total=4)]
 
 
 class LiveDaemonSim:
-    """Drives a ClusterState while journaling, like the daemon does."""
+    """Drives a ClusterState while journaling through the daemon's writers."""
 
     def __init__(self, path):
         self.state = ClusterState(fresh_nodes())
@@ -105,38 +147,24 @@ class LiveDaemonSim:
     def submit(self, spec):
         self.now += 1
         job_id = self.state.submit(spec, "/tmp", self.now)
-        self.journal.append(
-            EVENT_SUBMITTED,
-            {"job_id": job_id, "spec": spec.to_dict(), "submit_dir": "/tmp"},
-            at=float(self.now),
-        )
+        self.journal.submitted(self.state.jobs[job_id], float(self.now))
         return job_id
 
     def tick(self):
         self.now += 1
         for event in self.state.tick(self.now):
-            self.journal.append(
-                EVENT_STARTED,
-                {"job_id": event.job_id, "allocation": event.allocation},
-                at=float(self.now),
-            )
+            self.journal.started(self.state.jobs[event.job_id], float(self.now))
 
     def finish(self, job_id, outcome):
         self.now += 1
-        rec = self.state.transition(job_id, outcome, self.now)
-        self.journal.append(
-            EVENT_ENDED,
-            {"job_id": job_id, "state": rec.state.code,
-             "exit_code": rec.exit_code, "reason": rec.reason},
-            at=float(self.now),
-        )
+        self.journal.ended(self.state.transition(job_id, outcome, self.now), float(self.now))
 
 
 class TestJournalFile:
     def test_seq_gapless_from_one(self, tmp_path):
         journal = Journal(str(tmp_path / "j"))
         for i in range(3):
-            entry = journal.append(EVENT_SESSION_CREATED, {"name": f"s{i}"}, at=float(i))
+            entry = journal.session_created(f"s{i}", float(i))
             assert entry.seq == i + 1
         journal.close()
         entries = read_entries(str(tmp_path / "j"))
@@ -179,11 +207,19 @@ class TestJournalFile:
         good = json.dumps({"seq": 1, "at": 0.0, "event": "session_created", "name": "a"})
         path.write_text(good + "\n" + '{"seq": 2, "at":')
         journal = Journal(str(path), next_seq=recover(str(path), fresh_nodes()).next_seq)
-        journal.append(EVENT_SESSION_ENDED, {"name": "a"}, at=1.0)
+        journal.session_ended("a", 1.0)
         journal.close()
         entries = read_entries(str(path))
         assert [e.seq for e in entries] == [1, 2]
         assert entries[1].event == EVENT_SESSION_ENDED
+
+    @pytest.mark.parametrize("seq, write, line", ENTRY_FORMATS)
+    def test_entry_format(self, tmp_path, seq, write, line):
+        path = tmp_path / "j"
+        journal = Journal(str(path), next_seq=seq)
+        write(journal)
+        journal.close()
+        assert path.read_text() == line + "\n"
 
     def test_empty_file_is_empty_journal(self, tmp_path):
         path = tmp_path / "j"
@@ -224,7 +260,7 @@ class TestJournalFile:
         recovered = recover(str(path), fresh_nodes())
         assert recovered.next_seq == verdict[1] + 1
         journal = Journal(str(path), next_seq=recovered.next_seq)
-        journal.append(EVENT_SESSION_ENDED, {"name": "a"}, at=9.0)
+        journal.session_ended("a", 9.0)
         journal.close()
         entries = read_entries(str(path))
         assert [e.seq for e in entries] == list(range(1, verdict[1] + 2))
@@ -307,9 +343,9 @@ class TestRecover:
     def test_sessions_without_end_are_lost(self, tmp_path):
         path = tmp_path / "j"
         journal = Journal(str(path))
-        journal.append(EVENT_SESSION_CREATED, {"name": "kept"}, at=1.0)
-        journal.append(EVENT_SESSION_CREATED, {"name": "closed"}, at=2.0)
-        journal.append(EVENT_SESSION_ENDED, {"name": "closed"}, at=3.0)
+        journal.session_created("kept", 1.0)
+        journal.session_created("closed", 2.0)
+        journal.session_ended("closed", 3.0)
         journal.close()
         recovered = recover(str(path), fresh_nodes())
         assert recovered.lost_sessions == [("kept", 1.0)]
