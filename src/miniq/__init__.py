@@ -7,55 +7,4 @@ screen-style detachable sessions, all behind a small token-authenticated
 TCP daemon with an append-only recovery journal.
 """
 
-from .errors import MiniqError
-from .jobspec import (
-    Dialect,
-    JobSpec,
-    OutputPolicy,
-    ResourceRequest,
-    detect_dialect,
-    expand_output_template,
-    job_environment,
-    normalize,
-    parse_directives,
-    parse_script,
-    parse_walltime,
-    render_walltime,
-)
-from .sched import (
-    Allocation,
-    ClusterState,
-    JobRecord,
-    JobStatus,
-    Node,
-    Outcome,
-    first_fit,
-    shadow_time,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Allocation",
-    "ClusterState",
-    "Dialect",
-    "JobRecord",
-    "JobSpec",
-    "JobStatus",
-    "MiniqError",
-    "Node",
-    "Outcome",
-    "OutputPolicy",
-    "ResourceRequest",
-    "detect_dialect",
-    "expand_output_template",
-    "first_fit",
-    "job_environment",
-    "normalize",
-    "parse_directives",
-    "parse_script",
-    "parse_walltime",
-    "render_walltime",
-    "shadow_time",
-    "__version__",
-]

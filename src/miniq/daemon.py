@@ -49,6 +49,14 @@ from .sched import ClusterState, JobStatus, Node, Outcome, status_from_code
 DEFAULT_TICK_INTERVAL_S = 0.2
 MIN_TICK_INTERVAL_S = 0.01
 
+_EPOCH_AT_MONOTONIC_ZERO = time.time() - time.monotonic()
+
+
+def steady_epoch() -> float:
+    """The daemon's one clock: epoch seconds, the wall time read when this
+    module loaded plus the monotonic time since, so no NTP step moves it."""
+    return _EPOCH_AT_MONOTONIC_ZERO + time.monotonic()
+
 
 class DaemonConfig:
     __slots__ = ("host", "port", "token", "nodes", "journal_path", "workdir_root",
@@ -126,7 +134,7 @@ def _load_node(entry) -> Node:
 class Daemon:
     """One daemon instance; create, then ``start()``; ``shutdown()`` to stop."""
 
-    def __init__(self, config: DaemonConfig, *, clock=time.monotonic):
+    def __init__(self, config: DaemonConfig, *, clock=steady_epoch):
         self.config = config
         self._clock = clock
         self._mu = threading.Lock()
@@ -209,11 +217,11 @@ class Daemon:
             self._dying = kill_after_grace(self._dying, now)
 
             for name in self.sessions.drain_ended():
-                self.journal.session_ended(name, time.time())
+                self.journal.session_ended(name, now)
 
             for event in self.state.tick(now):
                 rec = self.state.jobs[event.job_id]
-                self.journal.started(rec, time.time())
+                self.journal.started(rec, now)
                 try:
                     rec.proc = launch_job(rec.spec, event.job_id, rec.submit_dir)
                 except MiniqError as exc:
@@ -225,7 +233,7 @@ class Daemon:
         that never had one; signalling it is the caller's part."""
         rec = self.state.transition(job_id, outcome, now)
         proc, rec.proc = rec.proc, None
-        self.journal.ended(rec, time.time())
+        self.journal.ended(rec, now)
         return proc
 
     # ----- request handling -------------------------------------------- #
@@ -268,8 +276,9 @@ class Daemon:
             strict=bool(message.get("strict", False)),
         )
         with self._mu:
-            job_id = self.state.submit(parsed.spec, submit_dir, self._clock())
-            self.journal.submitted(self.state.jobs[job_id], time.time())
+            now = self._clock()
+            job_id = self.state.submit(parsed.spec, submit_dir, now)
+            self.journal.submitted(self.state.jobs[job_id], now)
         return ok({"job_id": job_id, "warnings": parsed.warnings}), None
 
     def _handle_status(self, message: dict):
@@ -306,9 +315,9 @@ class Daemon:
                 and all(isinstance(arg, str) for arg in command)):
             return err("invalid-request", "session_create needs a name and a list of strings"), None
         with self._mu:
-            at = time.time()
-            self.sessions.create(name, command, at)
-            self.journal.session_created(name, at)
+            now = self._clock()
+            self.sessions.create(name, command, now)
+            self.journal.session_created(name, now)
         return ok({"name": name}), None
 
     def _handle_session_list(self, message: dict):
@@ -319,10 +328,11 @@ class Daemon:
         if not isinstance(name, str):
             return err("invalid-request", "session_kill needs a name"), None
         with self._mu:
+            now = self._clock()
             proc = self.sessions.kill(name)
             if proc is not None:
-                self._dying.append((proc, self._clock()))
-            self.journal.session_ended(name, time.time())
+                self._dying.append((proc, now))
+            self.journal.session_ended(name, now)
         return ok({"name": name}), None
 
     def _handle_attach(self, message: dict):
@@ -378,7 +388,7 @@ class Daemon:
                 if attachment is not None:
                     self._stream_attachment(sock, reader, message["name"], attachment)
                     return  # attach consumes the rest of the connection
-        except (OSError, ValueError):
+        except OSError:
             pass  # client went away mid-conversation
         finally:
             try:

@@ -254,7 +254,7 @@ class Session:
 
     def __init__(self, name: str, created_at: float, lock: threading.Lock, ring_capacity: int):
         self.name = name
-        self.created_at = created_at  # wall-clock seconds, as journaled
+        self.created_at = created_at  # the daemon's clock, as journaled
         self.proc: Popen | None = None
         self.ring = RingBuffer(ring_capacity)
         self.live = True
@@ -276,7 +276,7 @@ class SessionRegistry:
         self._ring_capacity = ring_capacity
         self._lock = threading.Lock()
         self._sessions: dict[str, Session] = {}
-        self._ended_unreported: list[str] = []
+        self._ended_unreported: list[Session] = []
 
     def create(self, name: str, command: list[str], now: float) -> Session:
         """Spawn a session process immediately; sessions bypass the scheduler."""
@@ -333,14 +333,12 @@ class SessionRegistry:
         proc.wait()
         with changed:
             session.live = False
-            registered = self._sessions.get(session.name) is session
-            reason = "exit" if registered else "killed"
+            reason = "exit" if self._sessions.get(session.name) is session else "killed"
             for attachment in session.attachments:
                 attachment.end_reason = reason
             session.attachments.clear()
             changed.notify_all()
-            if registered:
-                self._ended_unreported.append(session.name)
+            self._ended_unreported.append(session)
 
     def attach(self, name: str) -> Attachment:
         """Read everything the ring holds, then follow the live stream."""
@@ -409,11 +407,13 @@ class SessionRegistry:
             self._sessions[name] = tombstone
 
     def drain_ended(self) -> list[str]:
-        """Names of sessions that ended on their own since the last call."""
+        """Names of sessions that ended on their own since the last call and
+        are still registered: a killed session's end is the kill's to report,
+        and a replaced one's is superseded by its successor's creation."""
         with self._lock:
             ended = self._ended_unreported
             self._ended_unreported = []
-            return ended
+            return [s.name for s in ended if self._sessions.get(s.name) is s]
 
     def shutdown(self) -> None:
         """Kill every live session process (daemon-owned children do not

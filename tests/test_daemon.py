@@ -173,6 +173,20 @@ class TestSubmit:
         assert client.request({"type": "session_list"})["payload"]["sessions"] == []
         client.close()
 
+    def test_handler_fault_reaches_the_thread_excepthook(self, daemon, monkeypatch):
+        def faulty(self, message):
+            raise ValueError("handler fault")
+
+        seen = []
+        monkeypatch.setitem(Daemon._handlers, "status", faulty)
+        monkeypatch.setattr(threading, "excepthook", seen.append)
+        client = connect(daemon)
+        with pytest.raises(CommandFailed, match="server closed the connection"):
+            client.request({"type": "status"})
+        client.close()
+        assert wait_until(lambda: seen, 5)
+        assert [str(args.exc_value) for args in seen] == ["handler fault"]
+
     def test_script_name_that_is_not_a_string_is_not_journaled(self, tmp_path):
         # A spec named by a list would be refused by replay, and the daemon
         # could not restart on its own journal.
@@ -403,8 +417,8 @@ class TestLifecycleOverWire:
             second.shutdown()
 
     def test_timed_out_failed_and_session_rows_after_restart(self, tmp_path):
-        # Ticked by hand, so the timed-out job's elapsed time is 1.5 s on
-        # the daemon's clock and on the journal's, far from a whole second.
+        # Ticked by hand, so the timed-out job's elapsed time is 1.5 s, far
+        # from a whole second.
         first = Daemon(daemon_config(tmp_path))
         try:
             for name, walltime_s, submit_dir in (("late", 1, str(tmp_path)),
@@ -415,9 +429,9 @@ class TestLifecycleOverWire:
             os.makedirs(first.config.workdir_root)
             first.handle_request({"type": "session_create", "name": "kept",
                                   "command": ["sleep", "30"]})
-            first.tick_once(time.monotonic())
+            first.tick_once(first._clock())
             time.sleep(1.5)
-            first.tick_once(time.monotonic())
+            first.tick_once(first._clock())
             before = json.loads(first.handle_request({"type": "status"})[0])["payload"]["rows"]
             sessions = first.handle_request({"type": "session_list"})[0]["payload"]["sessions"]
         finally:
@@ -458,7 +472,7 @@ class TestEndPath:
             cancelled = submit("cancelled", "sleep 30")
             unspawnable = submit("unspawnable", "true", submit_dir=str(tmp_path / "missing"))
             jobs = daemon.state.jobs
-            now = time.monotonic()
+            now = daemon._clock()
             daemon.tick_once(now)  # starts all four; the last cannot open its output
             procs = {job_id: jobs[job_id].proc for job_id in (exits, late, cancelled)}
             assert None not in procs.values()
@@ -496,8 +510,7 @@ class TestEndPath:
             # An absolute path with a NUL byte passes the submit check, and
             # opening the output sink in it raises ValueError, not OSError.
             bad = submit("bad", str(tmp_path) + "/\x00x")
-            now = time.monotonic()
-            daemon.tick_once(now)
+            daemon.tick_once(daemon._clock())
             rec = daemon.state.jobs[bad]
             assert rec.state is JobStatus.FAILED
             assert rec.proc is None
@@ -506,10 +519,161 @@ class TestEndPath:
             good = submit("good", str(tmp_path))
 
             def completed():
-                daemon.tick_once(time.monotonic())
+                daemon.tick_once(daemon._clock())
                 return daemon.state.jobs[good].state is JobStatus.COMPLETED
 
             assert wait_until(completed, 5)
+        finally:
+            daemon.shutdown()
+
+
+class HandClock:
+    """A daemon clock that moves only when the test advances it."""
+
+    def __init__(self, now: float):
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> float:
+        self.now += seconds
+        return self.now
+
+
+class TestOneClock:
+    def test_default_clock_is_epoch_seconds_that_never_step_back(self, tmp_path, monkeypatch):
+        before = time.time()
+        daemon = Daemon(daemon_config(tmp_path))
+        try:
+            readings = [daemon._clock() for _ in range(1000)]
+            monkeypatch.setattr(time, "time", lambda: before - 3600)  # the wall clock steps back
+            readings.append(daemon._clock())
+        finally:
+            daemon.shutdown()
+        assert abs(readings[0] - before) < 1
+        assert readings == sorted(readings)
+
+    def test_restart_rebuilds_the_live_times(self, tmp_path):
+        clock = HandClock(1_760_000_000.125)
+        config = daemon_config(tmp_path, slots=4, nodes=2)
+        first = Daemon(config, clock=clock)
+        expected = []  # (event, job id or session name, the clock at that event)
+        try:
+            def submit(name, body, nodes=1, slots=1, walltime_s=600, submit_dir=str(tmp_path)):
+                at = clock.advance(0.25)
+                response, _ = first.handle_request({
+                    "type": "submit", "submit_dir": submit_dir,
+                    "script": make_pbs_script(name, nodes, slots, walltime_s, body=body)})
+                job_id = response["payload"]["job_id"]
+                expected.append(("submitted", job_id, at))
+                return job_id
+
+            exits = submit("exits", "true")
+            late = submit("late", "sleep 30", walltime_s=1)
+            cancelled = submit("cancelled", "sleep 30")
+            unspawnable = submit("unspawnable", "true", submit_dir=str(tmp_path / "missing"))
+            kept = submit("kept", "sleep 30")
+            queued = submit("queued", "true", nodes=2, slots=4)  # both whole nodes
+            os.makedirs(config.workdir_root)
+            created = {}
+            for name in ("gone", "kept"):
+                created[name] = clock.advance(0.25)
+                first.handle_request({"type": "session_create", "name": name,
+                                      "command": ["sleep", "30"]})
+                expected.append(("session_created", name, created[name]))
+
+            at = clock.advance(0.25)
+            first.tick_once(at)
+            expected += [("started", exits, at), ("started", late, at),
+                         ("started", cancelled, at), ("started", unspawnable, at),
+                         ("ended", unspawnable, at), ("started", kept, at)]
+            for job_id in (queued, cancelled):
+                at = clock.advance(0.25)
+                first.handle_request({"type": "cancel", "job_id": job_id})
+                expected.append(("ended", job_id, at))
+            jobs = first.state.jobs
+
+            at = clock.advance(0.25)
+
+            def exited():
+                first.tick_once(at)
+                return jobs[exits].state is JobStatus.COMPLETED
+
+            assert wait_until(exited, 5)
+            expected.append(("ended", exits, at))
+            at = clock.advance(1.5)  # past the 1 s walltime of late
+            first.tick_once(at)
+            expected.append(("ended", late, at))
+            at = clock.advance(0.25)
+            first.handle_request({"type": "session_kill", "name": "gone"})
+            expected.append(("session_ended", "gone", at))
+            sessions = first.handle_request({"type": "session_list"})[0]["payload"]["sessions"]
+        finally:
+            first.shutdown()
+        assert [jobs[job_id].state.code for job_id in sorted(jobs)] \
+            == ["CD", "TO", "CA", "F", "R", "CA"]
+        entries = read_entries(config.journal_path)
+        assert [(e.event, e.data.get("job_id", e.data.get("name")), e.at) for e in entries] \
+            == expected
+
+        second = Daemon(config)
+        try:
+            recovered = second.state.jobs
+            restarted = second.handle_request({"type": "session_list"})[0]["payload"]["sessions"]
+        finally:
+            second.shutdown()
+        assert sorted(recovered) == sorted(jobs)
+        for job_id, rec in jobs.items():
+            if job_id != kept:
+                assert recovered[job_id] == rec, job_id
+        back = recovered[kept]
+        assert (back.state, back.reason, back.submit_time, back.start_time) \
+            == (JobStatus.FAILED, "daemon-restart", jobs[kept].submit_time, jobs[kept].start_time)
+        assert [(row["name"], row["created_at"]) for row in sessions] \
+            == [("kept", created["kept"])]
+        assert restarted == [{**sessions[0], "live": False, "lost": True}]
+
+
+class TestSessionEnds:
+    """A session's end is journaled once, and only for the session that ended."""
+
+    def session_events(self, daemon: Daemon) -> list[tuple[str, str]]:
+        return [(e.event, e.data["name"]) for e in read_entries(daemon.config.journal_path)]
+
+    def test_end_of_a_replaced_session_is_not_journaled(self, tmp_path):
+        daemon = Daemon(daemon_config(tmp_path))
+        try:
+            os.makedirs(daemon.config.workdir_root)
+            daemon.handle_request({"type": "session_create", "name": "a", "command": ["true"]})
+            ended = daemon.sessions.get("a")
+            assert wait_until(lambda: not ended.live, 5)
+            daemon.handle_request({"type": "session_create", "name": "a",
+                                   "command": ["sleep", "30"]})
+            daemon.tick_once(daemon._clock())  # the first a's end is drained here
+            assert self.session_events(daemon) == [("session_created", "a")] * 2
+        finally:
+            daemon.shutdown()
+
+        second = Daemon(daemon_config(tmp_path))
+        try:
+            response, _ = second.handle_request({"type": "session_list"})
+        finally:
+            second.shutdown()
+        assert [(row["name"], row["lost"]) for row in response["payload"]["sessions"]] \
+            == [("a", True)]
+
+    def test_kill_of_an_ended_session_journals_its_end_once(self, tmp_path):
+        daemon = Daemon(daemon_config(tmp_path))
+        try:
+            os.makedirs(daemon.config.workdir_root)
+            daemon.handle_request({"type": "session_create", "name": "b", "command": ["true"]})
+            ended = daemon.sessions.get("b")
+            assert wait_until(lambda: not ended.live, 5)
+            daemon.handle_request({"type": "session_kill", "name": "b"})
+            daemon.tick_once(daemon._clock())
+            assert self.session_events(daemon) == [("session_created", "b"),
+                                                   ("session_ended", "b")]
         finally:
             daemon.shutdown()
 
@@ -771,7 +935,7 @@ class TestServeLifecycle:
                 "type": "submit", "submit_dir": str(tmp_path),
                 "script": make_pbs_script("holder", 1, 3, 600, body="sleep 600")})
             job_id = response["payload"]["job_id"]
-            first.tick_once(time.monotonic())
+            first.tick_once(first._clock())
             assert first.state.jobs[job_id].state is JobStatus.RUNNING
             assert [node.slots_free for node in first.state.nodes] == [1]
         finally:
