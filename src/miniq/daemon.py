@@ -201,15 +201,18 @@ class Daemon:
     def _tick_loop(self) -> None:
         while not self._stop.wait(self.config.tick_interval_s):
             try:
-                self.tick_once(self._clock())
+                self.tick_once()
             except Exception:
                 if self._stop.is_set():
                     return  # racing a shutdown; the journal may be closed
                 traceback.print_exc()
 
-    def tick_once(self, now: float) -> None:
-        """Reap exits, enforce walltimes, journal session ends, start jobs."""
+    def tick_once(self, now: float | None = None) -> None:
+        """Reap exits, enforce walltimes, journal session ends, start jobs.
+        ``now`` defaults to the clock, read once the lock is held."""
         with self._mu:
+            if now is None:
+                now = self._clock()
             for job_id, code in collect_exits(self.state.running.values()):
                 self._end(job_id, Outcome.exit(code), now)
             for job_id in poll_walltime(self.state.running.values(), now):
@@ -300,8 +303,8 @@ class Daemon:
         job_id = message.get("job_id")
         if type(job_id) is not int:  # not a bool, which is an int subclass
             return err("invalid-request", "cancel needs a job_id"), None
-        now = self._clock()
         with self._mu:
+            now = self._clock()
             proc = self._end(job_id, Outcome.cancel(), now)
             if proc is not None:
                 terminate(proc)
@@ -329,10 +332,11 @@ class Daemon:
             return err("invalid-request", "session_kill needs a name"), None
         with self._mu:
             now = self._clock()
-            proc = self.sessions.kill(name)
+            proc, unjournaled = self.sessions.kill(name)
             if proc is not None:
                 self._dying.append((proc, now))
-            self.journal.session_ended(name, now)
+            if unjournaled:
+                self.journal.session_ended(name, now)
         return ok({"name": name}), None
 
     def _handle_attach(self, message: dict):

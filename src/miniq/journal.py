@@ -12,16 +12,9 @@ import json
 import os
 from collections import namedtuple
 
-from .errors import JournalCorrupt, ScriptError
+from .errors import InvalidTransition, JournalCorrupt, NoSuchJob, ScriptError
 from .jobspec import JobSpec, expect_type
-from .sched import (
-    TERMINAL_STATES,
-    ClusterState,
-    JobRecord,
-    JobStatus,
-    Node,
-    status_from_code,
-)
+from .sched import ClusterState, JobRecord, JobStatus, Node, Outcome
 
 EVENT_SUBMITTED = "submitted"
 EVENT_STARTED = "started"
@@ -198,20 +191,21 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
     for entry in entries:
         try:
             _replay(entry, cluster, sessions_open)
-        except (KeyError, TypeError, ValueError, ScriptError) as exc:
+        except (KeyError, TypeError, ValueError, ScriptError, NoSuchJob,
+                InvalidTransition) as exc:
             reason = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
             raise JournalCorrupt(
                 f"malformed {entry.event} entry at seq {entry.seq}: {reason}", seq=entry.seq
             ) from None
 
     # Anything still Running in the replay has no daemon watching it: a
-    # clean shutdown killed it, and after a SIGKILL it may run on unwatched.
-    # A Pending job the configured nodes can no longer hold would block the
-    # head of the queue for good.
+    # clean shutdown killed it, and after a SIGKILL it may run on unwatched,
+    # so its failure has no end time (now None).  A Pending job the
+    # configured nodes can no longer hold would block the head of the queue
+    # for good; it holds no slots, so failing it is an edit of its record.
     for rec in cluster.jobs.values():
         if rec.state is JobStatus.RUNNING:
-            rec.state = JobStatus.FAILED
-            rec.reason = "daemon-restart"
+            cluster.transition(rec.id, Outcome.daemon_failure("daemon-restart"), None)
         elif rec.state is JobStatus.PENDING and not cluster.satisfiable(rec.spec.resources):
             cluster.queue.remove(rec.id)
             rec.state = JobStatus.FAILED
@@ -226,8 +220,10 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
 
 
 def _replay(entry: JournalEntry, cluster: ClusterState, sessions_open: dict[str, float]) -> None:
-    """Apply one entry.  A missing field raises KeyError, and a mistyped or
-    impossible one TypeError, ValueError or the spec's ScriptError."""
+    """Apply one entry through the ``ClusterState`` lifecycle the daemon used.
+    A missing field raises KeyError, and a mistyped or impossible one
+    TypeError, ValueError, the spec's ScriptError, or the lifecycle's
+    NoSuchJob or InvalidTransition."""
     data = entry.data
     if entry.event in (EVENT_SESSION_CREATED, EVENT_SESSION_ENDED):
         name = expect_type(data["name"], str, "name")
@@ -238,41 +234,17 @@ def _replay(entry: JournalEntry, cluster: ClusterState, sessions_open: dict[str,
         return
     job_id = expect_type(data["job_id"], int, "job_id")
     if entry.event == EVENT_SUBMITTED:
-        if job_id < cluster._next_id:  # ids are assigned in increasing order
-            raise JournalCorrupt(
-                f"entry {entry.seq} submits job {job_id} out of id order", seq=entry.seq
-            )
-        rec = JobRecord(
+        cluster.enqueue(JobRecord(
             id=job_id,
             spec=JobSpec.from_dict(expect_type(data["spec"], dict, "spec")),
             submit_dir=expect_type(data["submit_dir"], str, "submit_dir"),
             submit_time=entry.at,
-        )
-        cluster.jobs[job_id] = rec
-        cluster.queue.append(job_id)
-        cluster._next_id = job_id + 1
+        ))
     elif entry.event == EVENT_STARTED:
-        rec = _known_job(cluster, job_id, entry.seq)
-        allocation = expect_type(data["allocation"], dict, "allocation")
-        cluster.queue.remove(rec.id)  # ValueError unless the job is Pending
-        rec.state = JobStatus.RUNNING
-        rec.start_time = entry.at
-        rec.allocation = allocation
+        rec = cluster.jobs.get(job_id)
+        if rec is None:
+            raise NoSuchJob(f"no such job {job_id}")
+        cluster._start(rec, expect_type(data["allocation"], dict, "allocation"), entry.at)
     else:  # EVENT_ENDED
-        rec = _known_job(cluster, job_id, entry.seq)
-        state = status_from_code(data["state"])
-        if state not in TERMINAL_STATES:
-            raise ValueError(f"job {job_id} cannot end in state {state.code}")
-        if rec.state is JobStatus.PENDING:
-            cluster.queue.remove(rec.id)
-        rec.state = state
-        rec.end_time = entry.at
-        rec.exit_code = data.get("exit_code")
-        rec.reason = data.get("reason")
-
-
-def _known_job(cluster: ClusterState, job_id: int, seq: int) -> JobRecord:
-    rec = cluster.jobs.get(job_id)
-    if rec is None:
-        raise JournalCorrupt(f"entry {seq} references unknown job {job_id}", seq=seq)
-    return rec
+        outcome = Outcome.ending_in(data["state"], data.get("exit_code"), data.get("reason"))
+        cluster.transition(job_id, outcome, entry.at)

@@ -38,7 +38,7 @@ def read_message(reader) -> dict | None:
         raise ProtocolError("message exceeds maximum line length")
     try:
         message = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ProtocolError(f"message is not valid JSON: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError("message must be a JSON object")

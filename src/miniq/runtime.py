@@ -385,19 +385,20 @@ class SessionRegistry:
         with self._lock:
             return self._sessions.get(name)
 
-    def kill(self, name: str) -> Popen | None:
-        """Drop the name and SIGTERM the process group; returns the process
-        if it was live, for the caller's dying list.  Attached clients read
-        what the ring holds, then the end once the process dies."""
+    def kill(self, name: str) -> tuple[Popen | None, bool]:
+        """Drop the name and SIGTERM the process group.  Returns the process
+        if it was live, for the caller's dying list, and whether the end is
+        still to be journaled: not once ``drain_ended`` reported it.  Attached
+        clients read what the ring holds, then the end once the process dies."""
         with self._lock:
             session = self._sessions.pop(name, None)
             if session is None:
                 raise UnknownSession(f"no session named {name!r}")
             if not session.live or session.proc is None:
-                return None
+                return None, session.lost or session in self._ended_unreported
             proc = session.proc
         terminate(proc)
-        return proc
+        return proc, True
 
     def adopt_lost(self, name: str, created_at: float) -> None:
         """Register a tombstone for a session that did not survive a restart."""

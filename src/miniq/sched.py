@@ -87,6 +87,14 @@ class Outcome(namedtuple("Outcome", "kind exit_code reason", defaults=(None, Non
     def daemon_failure(cls, reason: str) -> "Outcome":
         return cls(kind="daemon_failure", reason=reason)
 
+    @classmethod
+    def ending_in(cls, code: str, exit_code: int | None, reason: str | None) -> "Outcome":
+        """The outcome that ended a job in the final state ``code``, as its
+        ``ended`` entry records it."""
+        if code not in _CODE_TO_OUTCOME:  # TypeError if code cannot be hashed
+            raise ValueError(f"no outcome ends a job in state {code!r}")
+        return cls(_CODE_TO_OUTCOME[code], exit_code, reason)
+
 
 _OUTCOME_TO_STATUS = {
     "exit": JobStatus.COMPLETED,
@@ -94,6 +102,8 @@ _OUTCOME_TO_STATUS = {
     "cancel": JobStatus.CANCELLED,
     "daemon_failure": JobStatus.FAILED,
 }
+# One outcome kind per final state, so a journaled state names its outcome.
+_CODE_TO_OUTCOME = {status.code: kind for kind, status in _OUTCOME_TO_STATUS.items()}
 
 
 class JobRecord:
@@ -318,13 +328,17 @@ class ClusterState:
                 f"{' with features ' + ','.join(sorted(spec.resources.features)) if spec.resources.features else ''}"
                 " exceeds cluster capacity"
             )
-        job_id = self._next_id
-        self._next_id += 1
-        self.jobs[job_id] = JobRecord(
-            id=job_id, spec=spec, submit_dir=submit_dir, submit_time=now
-        )
-        self.queue.append(job_id)
-        return job_id
+        rec = JobRecord(id=self._next_id, spec=spec, submit_dir=submit_dir, submit_time=now)
+        self.enqueue(rec)
+        return rec.id
+
+    def enqueue(self, rec: JobRecord) -> None:
+        """Queue a new Pending job under its own id, above every id before."""
+        if rec.id < self._next_id:
+            raise ValueError(f"job {rec.id} is out of id order")
+        self._next_id = rec.id + 1
+        self.jobs[rec.id] = rec
+        self.queue.append(rec.id)
 
     # -- scheduling pass ---------------------------------------------- #
 
@@ -393,21 +407,30 @@ class ClusterState:
         return events
 
     def _start(self, rec: JobRecord, allocation: Allocation, now: float) -> StartEvent:
-        for node_id, slots in allocation.items():
-            self._by_id[node_id].slots_free -= slots
+        self.queue.remove(rec.id)  # ValueError unless the job is Pending
+        self._bind(allocation, -1)
         rec.state = JobStatus.RUNNING
         rec.start_time = now
         rec.allocation = allocation
-        self.queue.remove(rec.id)
         self.running[rec.id] = rec
         bisect.insort(self.releases, (now + rec.spec.walltime_s, rec.id, allocation))
         self._settled = None
         return StartEvent(job_id=rec.id, allocation=allocation)
 
+    def _bind(self, allocation: Allocation, sign: int) -> None:
+        """Take (``sign`` -1) or give back (+1) an allocation's slots, skipping
+        nodes no longer configured, which only a replayed allocation names."""
+        by_id = self._by_id
+        for node_id, slots in allocation.items():
+            node = by_id.get(node_id)
+            if node is not None:
+                node.slots_free += sign * slots
+
     # -- lifecycle ----------------------------------------------------- #
 
-    def transition(self, job_id: int, outcome: Outcome, now: float) -> JobRecord:
+    def transition(self, job_id: int, outcome: Outcome, now: float | None) -> JobRecord:
         """Apply a lifecycle outcome; frees the allocation when leaving Running.
+        ``now`` becomes the job's end time.
 
         Illegal transitions raise InvalidTransition and leave state unchanged.
         """
@@ -417,8 +440,7 @@ class ClusterState:
         target = _OUTCOME_TO_STATUS[outcome.kind]
         # Every outcome may end a Running job; a Pending one accepts only a cancel.
         if rec.state is JobStatus.RUNNING:
-            for node_id, slots in rec.allocation.items():
-                self._by_id[node_id].slots_free += slots
+            self._bind(rec.allocation, 1)
             del self.running[job_id]
             releases = self.releases
             del releases[bisect.bisect_left(releases, (rec.start_time + rec.spec.walltime_s,

@@ -26,6 +26,7 @@ from miniq.jobspec import (
     ResourceRequest,
     render_walltime,
 )
+from miniq import journal
 from miniq.sched import ClusterState, Node
 
 # The two reference job scripts the whole artifact is built around.
@@ -155,3 +156,26 @@ def process_alive(pid: int) -> bool:
 @pytest.fixture
 def two_node_cluster() -> ClusterState:
     return make_cluster(8, 8)
+
+
+@pytest.fixture
+def conserving_replay(monkeypatch) -> list[int]:
+    """Make ``recover`` check ``assert_conservation`` after every entry it
+    replays; returns the list of the seqs it checked."""
+    replay = journal._replay
+    checked: list[int] = []
+
+    def replay_and_check(entry, cluster, sessions_open):
+        replay(entry, cluster, sessions_open)
+        cluster.assert_conservation()
+        checked.append(entry.seq)
+
+    monkeypatch.setattr(journal, "_replay", replay_and_check)
+    return checked
+
+
+def assert_all_slots_free(cluster: ClusterState) -> None:
+    """What ``recover`` leaves: no Running job, and every slot free."""
+    assert cluster.running == {} and cluster.releases == []
+    assert all(node.slots_free == node.slots_total for node in cluster.nodes)
+    cluster.assert_conservation()

@@ -15,7 +15,14 @@ import time
 
 import pytest
 
-from conftest import gated, make_pbs_script, make_spec, process_alive, wait_until
+from conftest import (
+    assert_all_slots_free,
+    gated,
+    make_pbs_script,
+    make_spec,
+    process_alive,
+    wait_until,
+)
 from miniq import journal as journal_mod
 from miniq import protocol
 from miniq.cli import Client, CommandFailed
@@ -634,6 +641,73 @@ class TestOneClock:
             == [("kept", created["kept"])]
         assert restarted == [{**sessions[0], "live": False, "lost": True}]
 
+    def test_every_reading_is_taken_under_the_lock(self, tmp_path):
+        locked = []
+
+        def clock():
+            locked.append(daemon._mu.locked())
+            return 1_760_000_000.0 + len(locked)
+
+        daemon = Daemon(daemon_config(tmp_path), clock=clock)
+        try:
+            os.makedirs(daemon.config.workdir_root)
+            for nodes, slots in ((1, 1), (2, 2)):  # the second waits for the first
+                daemon.handle_request({"type": "submit", "submit_dir": str(tmp_path),
+                                       "script": make_pbs_script("j", nodes, slots, 600,
+                                                                 body="sleep 30")})
+            daemon.tick_once()
+            assert daemon.state.jobs[1].state is JobStatus.RUNNING
+            for request in ({"type": "cancel", "job_id": 1}, {"type": "cancel", "job_id": 2},
+                            {"type": "status"},
+                            {"type": "session_create", "name": "s", "command": ["sleep", "30"]},
+                            {"type": "session_kill", "name": "s"}):
+                response, _ = daemon.handle_request(request)
+                if isinstance(response, str):  # status: its line, already encoded
+                    response = json.loads(response)
+                assert response["ok"] is True, request
+            daemon.tick_once()
+        finally:
+            daemon.shutdown()
+        assert locked == [True] * 9
+
+    def test_replay_of_a_daemon_journal_keeps_conservation(self, tmp_path, conserving_replay):
+        clock = HandClock(1_760_000_000.0)
+        config = daemon_config(tmp_path, slots=2, nodes=2)
+        first = Daemon(config, clock=clock)
+        try:
+            def submit(body, nodes=1, slots=1, walltime_s=600, submit_dir=str(tmp_path)):
+                clock.advance(0.25)
+                response, _ = first.handle_request({
+                    "type": "submit", "submit_dir": submit_dir,
+                    "script": make_pbs_script("j", nodes, slots, walltime_s, body=body)})
+                return response["payload"]["job_id"]
+
+            exits = submit("true")
+            late = submit("sleep 30", walltime_s=1)
+            cancelled = submit("sleep 30")
+            submit("true", submit_dir=str(tmp_path / "missing"))  # cannot open its output
+            wide = submit("sleep 30", nodes=2, slots=2)
+            waiting = submit("sleep 30")
+            first.tick_once(clock.advance(0.25))
+            first.handle_request({"type": "cancel", "job_id": cancelled})
+            jobs = first.state.jobs
+
+            def exited():
+                first.tick_once(clock.advance(0.25))
+                return jobs[exits].state is JobStatus.COMPLETED
+
+            assert wait_until(exited, 5)
+            first.tick_once(clock.advance(1.5))  # late times out; wide takes every slot
+            assert [jobs[job_id].state.code for job_id in sorted(jobs)] \
+                == ["CD", "TO", "CA", "F", "R", "PD"]
+        finally:
+            first.shutdown()
+        recovered = journal_mod.recover(config.journal_path, config.nodes).cluster
+        assert conserving_replay == [e.seq for e in read_entries(config.journal_path)]
+        assert recovered.jobs[wide].reason == "daemon-restart"
+        assert recovered.queue == [waiting]
+        assert_all_slots_free(recovered)
+
 
 class TestSessionEnds:
     """A session's end is journaled once, and only for the session that ended."""
@@ -676,6 +750,45 @@ class TestSessionEnds:
                                                    ("session_ended", "b")]
         finally:
             daemon.shutdown()
+
+    def test_kill_of_a_drained_session_journals_no_second_end(self, tmp_path):
+        daemon = Daemon(daemon_config(tmp_path))
+        try:
+            os.makedirs(daemon.config.workdir_root)
+            daemon.handle_request({"type": "session_create", "name": "c", "command": ["true"]})
+            ended = daemon.sessions.get("c")
+            assert wait_until(lambda: not ended.live, 5)
+            daemon.tick_once()  # journals c's end
+            response, _ = daemon.handle_request({"type": "session_kill", "name": "c"})
+            assert response["ok"] is True
+            assert self.session_events(daemon) == [("session_created", "c"),
+                                                   ("session_ended", "c")]
+        finally:
+            daemon.shutdown()
+
+    def test_kill_of_a_lost_session_journals_its_end(self, tmp_path):
+        config = daemon_config(tmp_path)
+        first = Daemon(config)
+        try:
+            os.makedirs(config.workdir_root)
+            first.handle_request({"type": "session_create", "name": "d",
+                                  "command": ["sleep", "30"]})
+        finally:
+            first.shutdown()  # d's end is never journaled
+        second = Daemon(config)
+        try:
+            response, _ = second.handle_request({"type": "session_kill", "name": "d"})
+            assert response["ok"] is True
+            assert self.session_events(second) == [("session_created", "d"),
+                                                   ("session_ended", "d")]
+        finally:
+            second.shutdown()
+        third = Daemon(config)
+        try:
+            response, _ = third.handle_request({"type": "session_list"})
+        finally:
+            third.shutdown()
+        assert response["payload"]["sessions"] == []
 
 
 class TestSessionsOverWire:

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import make_pbs_script, make_spec
+from conftest import assert_all_slots_free, make_pbs_script, make_spec
 from miniq.errors import JournalCorrupt
 from miniq.jobspec import parse_script
 from miniq.journal import EVENT_SESSION_ENDED, Journal, read_entries, recover
@@ -385,3 +385,72 @@ class TestRecover:
             else:
                 assert replayed.state is live.state
                 assert replayed.exit_code == live.exit_code
+
+
+def _random_history(path, seed: int = 5150, steps: int = 300) -> LiveDaemonSim:
+    """The history of ``test_replay_equivalence_random_history``, journaled."""
+    rng = random.Random(seed)
+    sim = LiveDaemonSim(path)
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.4:
+            sim.submit(make_spec(nodes=rng.randrange(1, 3),
+                                 slots=rng.randrange(1, 5),
+                                 walltime_s=rng.randrange(1, 50)))
+        elif roll < 0.7:
+            sim.tick()
+        else:
+            running = [j for j, r in sim.state.jobs.items() if r.state is JobStatus.RUNNING]
+            if running:
+                sim.finish(rng.choice(running),
+                           rng.choice([Outcome.exit(0), Outcome.exit(2),
+                                       Outcome.timeout(), Outcome.cancel()]))
+    sim.journal.close()
+    return sim
+
+
+class TestReplayLifecycle:
+    """Replay runs each entry through the lifecycle the live state ran."""
+
+    def test_conservation_holds_after_every_entry(self, tmp_path, conserving_replay):
+        path = tmp_path / "j"
+        sim = _random_history(path)
+        assert any(rec.state is JobStatus.RUNNING for rec in sim.state.jobs.values())
+        recovered = recover(str(path), fresh_nodes()).cluster
+        assert conserving_replay == [entry.seq for entry in read_entries(str(path))]
+        assert_all_slots_free(recovered)
+
+    @pytest.mark.parametrize("nodes", [
+        pytest.param([Node(id="n1", slots_total=4)], id="a node removed"),
+        pytest.param([Node(id="n1", slots_total=2), Node(id="n2", slots_total=2)],
+                     id="smaller nodes"),
+    ])
+    def test_history_recovers_onto_a_shrunk_cluster(self, tmp_path, nodes):
+        path = tmp_path / "j"
+        sim = _random_history(path)
+        recovered = recover(str(path), nodes).cluster
+        unsatisfiable = 0
+        for job_id, live in sim.state.jobs.items():
+            replayed = recovered.jobs[job_id]
+            if live.state is JobStatus.RUNNING:
+                assert (replayed.state, replayed.reason) == (JobStatus.FAILED, "daemon-restart")
+            elif live.state is JobStatus.PENDING and replayed.state is JobStatus.FAILED:
+                assert replayed.reason == "unsatisfiable"
+                unsatisfiable += 1
+            else:
+                assert replayed == live, job_id
+        assert unsatisfiable > 0
+        assert_all_slots_free(recovered)
+
+    @pytest.mark.parametrize("tail", [
+        pytest.param(_entry(3, "ended", job_id=1, state="CD", exit_code=0, reason=None),
+                     id="exit of a pending job"),
+        pytest.param(_entry(3, "started", job_id=2, allocation={"n1": 1}),
+                     id="start of an unknown job"),
+    ])
+    def test_entry_the_live_lifecycle_refuses_is_corrupt(self, tmp_path, tail):
+        path = tmp_path / "j"
+        path.write_bytes(LINE_1 + _SUBMIT_2 + tail)
+        with pytest.raises(JournalCorrupt) as excinfo:
+            recover(str(path), fresh_nodes())
+        assert excinfo.value.seq == 3

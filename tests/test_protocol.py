@@ -10,6 +10,7 @@ import random
 import pytest
 
 from miniq import protocol
+from miniq.errors import ProtocolError
 
 
 class RecordingSocket:
@@ -31,3 +32,8 @@ def test_data_frame_line_is_the_json_encoding(size):
     assert sock.sent == expected.encode()
     frame = protocol.read_message(io.BytesIO(sock.sent))
     assert protocol.decode_data_frame(frame) == chunk
+
+
+def test_nesting_too_deep_to_decode_is_a_protocol_error():
+    with pytest.raises(ProtocolError, match="not valid JSON"):
+        protocol.read_message(io.BytesIO(b"[" * 100000 + b"\n"))
