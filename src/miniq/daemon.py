@@ -10,18 +10,15 @@ response is sent (write-ahead).
 
 from __future__ import annotations
 
-import argparse
-import hmac
 import json
 import math
 import os
-import queue
 import signal
 import socket
 import sys
 import threading
 import time
-import traceback
+from _operator import _compare_digest  # hmac's compare_digest when _hashlib (OpenSSL) is absent
 from subprocess import Popen
 
 from . import journal as journal_mod
@@ -64,6 +61,8 @@ class DaemonConfig:
 
     def __init__(self, host: str, port: int, token: str, nodes: list[Node], journal_path: str,
                  workdir_root: str, tick_interval_s: float = DEFAULT_TICK_INTERVAL_S):
+        if not isinstance(token, str):
+            raise ConfigError(f"auth token must be a string, got {token!r}")
         if not token:
             raise ConfigError("auth token must not be empty (set it in the config or MINIQ_TOKEN)")
         if not nodes:
@@ -205,7 +204,7 @@ class Daemon:
             except Exception:
                 if self._stop.is_set():
                     return  # racing a shutdown; the journal may be closed
-                traceback.print_exc()
+                sys.excepthook(*sys.exc_info())
 
     def tick_once(self, now: float | None = None) -> None:
         """Reap exits, enforce walltimes, journal session ends, start jobs.
@@ -405,7 +404,8 @@ class Daemon:
                 pass
 
     def _authenticate(self, sock: socket.socket, reader) -> bool:
-        """First message on a connection must present the shared token."""
+        """First message on a connection must present the shared token,
+        compared as UTF-8 bytes in constant time."""
         try:
             message = protocol.read_message(reader)
         except ProtocolError as exc:
@@ -414,8 +414,12 @@ class Daemon:
         if message is None:
             return False
         token = message.get("token", "") if message.get("type") == "auth" else ""
-        if not (isinstance(token, str) and token
-                and hmac.compare_digest(token, self.config.token)):
+        try:
+            accepted = (isinstance(token, str) and token
+                        and _compare_digest(token.encode(), self.config.token.encode()))
+        except UnicodeEncodeError:  # a lone surrogate, as "\ud800" on the wire decodes to
+            accepted = False
+        if not accepted:
             protocol.send_message(sock, err("auth-failed", "bad or missing token"))
             return False
         protocol.send_message(sock, ok({"server": "miniqd"}))
@@ -445,9 +449,8 @@ class Daemon:
         watcher.start()
         try:
             while True:
-                try:
-                    chunk = attachment.read(timeout=0.5)
-                except queue.Empty:
+                chunk = attachment.read(timeout=0.5)
+                if chunk == b"":
                     if self._stop.is_set():
                         return
                     continue
@@ -462,12 +465,25 @@ class Daemon:
                 pass
 
 
+USAGE = "usage: miniqd [-h] --config PATH"
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="miniqd", description="miniq batch daemon")
-    parser.add_argument("--config", required=True, help="path to the daemon config file (JSON)")
-    args = parser.parse_args(argv)
+    """Run the daemon until SIGTERM or SIGINT.  Returns the exit status: 0
+    after a clean stop or ``-h``, 1 if it cannot start, 2 on bad arguments."""
+    args = sys.argv[1:] if argv is None else argv
+    if "-h" in args or "--help" in args:
+        print(USAGE)
+        return 0
+    if len(args) == 2 and args[0] == "--config":
+        config_path = args[1]
+    elif len(args) == 1 and args[0].startswith("--config="):
+        config_path = args[0][len("--config="):]
+    else:
+        print(f"{USAGE}\nminiqd: error: expected --config PATH, got {args}", file=sys.stderr)
+        return 2
     try:
-        config = load_config(args.config)
+        config = load_config(config_path)
         daemon = Daemon(config)
 
         # Installed before start(): a signal sent as soon as the banner is

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import signal
 import subprocess
 import threading
@@ -225,15 +224,12 @@ class Attachment:
         return self.session.ring.end - self.cursor
 
     def read(self, timeout: float | None = None) -> bytes | None:
-        """Next chunk of at most ``READ_BYTES``, or None once the stream has
-        ended.
-
-        Raises queue.Empty on timeout.
-        """
+        """Next chunk of at most ``READ_BYTES``; ``b""`` when nothing arrived
+        within ``timeout``; None once the stream has ended."""
         changed = self.session.changed
         with changed:
             if not changed.wait_for(lambda: self._unread() or self.end_reason, timeout):
-                raise queue.Empty
+                return b""
             if not self._unread():
                 return None
             chunk = self.session.ring.read(self.cursor, READ_BYTES)

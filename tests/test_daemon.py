@@ -58,11 +58,11 @@ sys.exit(daemon.main(sys.argv[1:]))
 
 
 def daemon_config(tmp_path, *, port: int = 0, slots: int = 2, nodes: int = 2,
-                  tick: float = 0.05) -> DaemonConfig:
+                  tick: float = 0.05, token: str = TOKEN) -> DaemonConfig:
     return DaemonConfig(
         host="127.0.0.1",
         port=port,
-        token=TOKEN,
+        token=token,
         nodes=[Node(id=f"n{i + 1}", slots_total=slots) for i in range(nodes)],
         journal_path=str(tmp_path / "journal.ndjson"),
         workdir_root=str(tmp_path / "work"),
@@ -103,11 +103,15 @@ class TestAuth:
             connect(daemon, token="wrong")
         assert excinfo.value.exit_code == 2
 
-    def test_first_message_must_be_auth(self, daemon):
-        import socket as socket_mod
-        sock = socket_mod.create_connection(daemon.bound_address)
+    @pytest.mark.parametrize("first", [
+        pytest.param({"type": "status"}, id="not auth"),
+        pytest.param({"type": "auth", "token": "sécret"}, id="non-ASCII token"),
+        pytest.param({"type": "auth", "token": "\ud800"}, id="token not encodable as UTF-8"),
+    ])
+    def test_first_message_must_be_auth(self, daemon, first):
+        sock = socket.create_connection(daemon.bound_address)
         reader = sock.makefile("rb")
-        protocol.send_message(sock, {"type": "status"})
+        protocol.send_message(sock, first)
         response = protocol.read_message(reader)
         assert response["ok"] is False
         assert response["code"] == "auth-failed"
@@ -119,6 +123,16 @@ class TestAuth:
         response = client.request({"type": "status"})
         assert response["ok"] is True
         client.close()
+
+    def test_non_ascii_token_accepted(self, tmp_path):
+        daemon = Daemon(daemon_config(tmp_path, token="sécret"))
+        daemon.start()
+        try:
+            client = connect(daemon, token="sécret")
+            assert client.request({"type": "status"})["ok"] is True
+            client.close()
+        finally:
+            daemon.shutdown()
 
 
 class TestSubmit:
@@ -1062,7 +1076,11 @@ class TestServeLifecycle:
         finally:
             second.shutdown()
 
-    def test_sigterm_right_after_banner_shuts_down_cleanly(self, tmp_path):
+    @pytest.mark.parametrize("config_flag", [
+        pytest.param(["--config", "{}"], id="--config PATH"),
+        pytest.param(["--config={}"], id="--config=PATH"),
+    ])
+    def test_sigterm_right_after_banner_shuts_down_cleanly(self, tmp_path, config_flag):
         # The daemon signals itself the moment it writes its banner, the
         # earliest instant a client reading that line could send SIGTERM.
         config_path = tmp_path / "miniqd.json"
@@ -1074,7 +1092,8 @@ class TestServeLifecycle:
             "workdir": str(tmp_path / "work"),
         }))
         proc = subprocess.run(
-            [sys.executable, "-c", SIGTERM_AT_BANNER, "--config", str(config_path)],
+            [sys.executable, "-c", SIGTERM_AT_BANNER,
+             *[arg.format(config_path) for arg in config_flag]],
             capture_output=True, text=True, timeout=30,
         )
         assert proc.stdout.startswith("miniqd listening on "), (proc.stdout, proc.stderr)
@@ -1155,6 +1174,16 @@ class TestLoadConfig:
         assert main(["--config", path]) == 1
         assert capsys.readouterr().err.startswith("miniqd: ")
 
+    @pytest.mark.parametrize("token", [12345, ["hunter2"]], ids=["number", "list"])
+    def test_token_that_is_not_a_string_refused(self, tmp_path, capsys, token):
+        path = tmp_path / "miniqd.json"
+        path.write_text(json.dumps({"token": token, "journal": "journal.ndjson",
+                                    "nodes": [{"id": "n1", "slots": 1}]}))
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+        assert main(["--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("miniqd: auth token must be a string")
+
     def test_malformed_journal_entry_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, [{"id": "n1", "slots": 2}])
         journal = tmp_path / "journal.ndjson"
@@ -1165,3 +1194,47 @@ class TestLoadConfig:
         assert capsys.readouterr().err == (
             "miniqd: malformed submitted entry at seq 1: no field 'spec'\n"
         )
+
+
+class TestMainArguments:
+    def test_help_prints_usage_and_returns_0(self, capsys):
+        assert main(["-h"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: miniqd ")
+        assert err == ""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param([], id="no arguments"),
+        pytest.param(["--config"], id="--config without a path"),
+        pytest.param(["--bogus"], id="unknown flag"),
+        pytest.param(["--config", "miniqd.json", "extra"], id="extra argument"),
+    ])
+    def test_bad_arguments_return_2(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: miniqd ")
+        assert "\nminiqd: error: " in err
+
+
+class TestTickLoop:
+    def test_failed_tick_is_printed_and_the_loop_goes_on(self, tmp_path, capfd):
+        daemon = Daemon(daemon_config(tmp_path, tick=0.01))
+        ticks = []
+        tick_once = daemon.tick_once
+
+        def failing_once():
+            ticks.append(None)
+            if len(ticks) == 1:
+                raise RuntimeError("tick failed")
+            tick_once()
+
+        daemon.tick_once = failing_once
+        daemon.start()
+        try:
+            assert wait_until(lambda: len(ticks) >= 3, 5)
+        finally:
+            daemon.shutdown()
+        err = capfd.readouterr().err
+        assert "Traceback (most recent call last):" in err
+        assert "RuntimeError: tick failed" in err

@@ -232,9 +232,11 @@ class TestSessions:
         registry = SessionRegistry()
         registry.create("victim", ["sleep", "30"], now=0.0)
         attachment = registry.attach("victim")
+        assert attachment.read(timeout=0.01) == b""  # live and quiet: timed out
         registry.kill("victim")
         assert b"".join(attachment) == b""
         assert attachment.end_reason == "killed"
+        assert attachment.read(timeout=0.01) is None
 
     def test_detach_reattach_stream_integrity(self):
         # The reattached stream must deliver every emitted byte exactly once,

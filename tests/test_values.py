@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from conftest import make_cluster, make_spec
+from conftest import make_cluster, make_pbs_script, make_spec
 from miniq.jobspec import Dialect, Directive, JobSpec, OutputPolicy, ResourceRequest, parse_script
 from miniq.journal import JournalEntry
 from miniq.sched import Outcome, StartEvent
@@ -78,3 +78,48 @@ def test_startup_imports_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+# Serves an authenticated submit (run to completion) and status in a fresh
+# interpreter, then prints which of the modules the daemon avoids it loaded
+# beyond what the interpreter itself loads before running any code.
+SERVE_AND_LIST_MODULES = """
+import sys
+baseline = set(sys.modules)
+import socket, time
+from miniq import protocol
+from miniq.daemon import Daemon, DaemonConfig
+from miniq.sched import Node
+
+root, script = sys.argv[1], sys.argv[2]
+daemon = Daemon(DaemonConfig("127.0.0.1", 0, "t", [Node(id="n1", slots_total=1)],
+                             root + "/journal.ndjson", root, tick_interval_s=0.02))
+daemon.start()
+sock = socket.create_connection(daemon.bound_address)
+reader = sock.makefile("rb")
+
+def request(message):
+    protocol.send_message(sock, message)
+    response = protocol.read_message(reader)
+    assert response["ok"], response
+    return response["payload"]
+
+request({"type": "auth", "token": "t"})
+job_id = request({"type": "submit", "script": script, "submit_dir": root})["job_id"]
+deadline = time.monotonic() + 30
+while request({"type": "status", "job_id": job_id})["rows"][0]["state"] != "CD":
+    assert time.monotonic() < deadline, "job did not complete"
+    time.sleep(0.02)
+sock.close()
+daemon.shutdown()
+avoided = {"argparse", "hmac", "_hashlib", "traceback", "queue"}
+print(sorted(avoided & (set(sys.modules) - baseline)))
+"""
+
+
+def test_serving_daemon_loads_no_argparse_hmac_traceback_or_queue(tmp_path):
+    # Only miniq.daemon is imported: miniq.cli needs argparse.
+    script = make_pbs_script("guard", 1, 1, 60, body="true")
+    out = subprocess.run([sys.executable, "-c", SERVE_AND_LIST_MODULES, str(tmp_path), script],
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
