@@ -65,6 +65,10 @@ class DaemonConfig:
             raise ConfigError(f"auth token must be a string, got {token!r}")
         if not token:
             raise ConfigError("auth token must not be empty (set it in the config or MINIQ_TOKEN)")
+        try:
+            token.encode()
+        except UnicodeEncodeError:  # a lone surrogate: no client could ever send it
+            raise ConfigError("auth token must be valid UTF-8 text") from None
         if not nodes:
             raise ConfigError("at least one node must be configured")
         ids = [node.id for node in nodes]
@@ -417,7 +421,9 @@ class Daemon:
         try:
             accepted = (isinstance(token, str) and token
                         and _compare_digest(token.encode(), self.config.token.encode()))
-        except UnicodeEncodeError:  # a lone surrogate, as "\ud800" on the wire decodes to
+        except UnicodeEncodeError:
+            # Only the wire token can hold a lone surrogate ("\ud800" decodes
+            # to one): DaemonConfig refuses such a configured token.
             accepted = False
         if not accepted:
             protocol.send_message(sock, err("auth-failed", "bad or missing token"))

@@ -289,10 +289,12 @@ class ClusterState:
         self.running: dict[int, JobRecord] = {}  # the Running subset of jobs
         # (start_time + walltime_s, id, allocation) per Running job, ascending.
         self.releases: list[tuple[float, int, Allocation]] = []
-        # (last queued id examined, shadow time, reserved nodes) of the last
-        # pass, if it started nothing and no start or end has happened since;
-        # the reservation is None if that pass needed none.
-        self._settled: tuple[int, float | None, frozenset[str] | None] | None = None
+        # The last queued id examined by the last pass, if it started nothing
+        # and no start or end has happened since.
+        self._settled: int | None = None
+        # (head id, shadow time, reserved nodes) of the last reservation made;
+        # it holds until a job ends or the head changes (see ``tick``).
+        self._reservation: tuple[int, float, frozenset[str]] | None = None
         self.clock = 0.0
         self._next_id = 1
         self._by_id = {node.id: node for node in nodes}
@@ -354,6 +356,12 @@ class ClusterState:
         submitted since, until a job starts or ends: free slots change only
         then, and a job held back by the reservation stays held back as time
         passes, since ``now + walltime_s`` only grows.
+
+        The head's reservation is kept across passes and backfill starts
+        until a job ends or the head changes: a backfilled job either ends by
+        the shadow time or stays off the reserved nodes, so at the shadow
+        time the reserved nodes are still the first ready ones, and no
+        instant before it gains a ready node.
         """
         if now < self.clock:
             raise ValueError(f"clock went backwards: {now} < {self.clock}")
@@ -369,10 +377,10 @@ class ClusterState:
                 events.append(self._start(head, allocation, now))
             if not self.queue:
                 return events
-            last, shadow, reserved = self.queue[0], None, None
+            last = self.queue[0]
             rest = 1
         else:
-            last, shadow, reserved = self._settled
+            last = self._settled
             rest = bisect.bisect_right(self.queue, last)  # the queue ascends by id
 
         if backfill and rest < len(self.queue):
@@ -380,10 +388,14 @@ class ClusterState:
             # Free slots only shrink during the pass, so a shape that found
             # no placement finds none for the rest of it.  A placement found
             # holds until the next start; until then, later jobs of its shape
-            # reuse it.  The reservation is computed at the first placement,
-            # which precedes every backfill start.
+            # reuse it.  A shape is probed only if enough nodes hold a full
+            # slot group, features aside, as counted in the ascending ``free``.
+            # The reservation is looked up at the first placement, which
+            # precedes every backfill start.
             unplaceable: set[ResourceRequest] = set()
             placed: dict[ResourceRequest, Allocation] = {}
+            free = sorted(node.slots_free for node in self.nodes)
+            shadow = None
             for job_id in self.queue[rest:]:
                 rec = self.jobs[job_id]
                 request = rec.spec.resources
@@ -391,19 +403,29 @@ class ClusterState:
                     continue
                 allocation = placed.get(request)
                 if allocation is None:
-                    allocation = first_fit(request, self.nodes)
+                    with_group = len(free) - bisect.bisect_left(free, request.slots_per_node)
+                    if with_group >= request.nodes:
+                        allocation = first_fit(request, self.nodes)
                     if allocation is None:
                         unplaceable.add(request)
                         continue
                     placed[request] = allocation
                 if shadow is None:
-                    shadow, reserved = shadow_time(self.jobs[self.queue[0]].spec.resources, self)
+                    head_id = self.queue[0]
+                    if self._reservation is None or self._reservation[0] != head_id:
+                        self._reservation = (head_id, *shadow_time(
+                            self.jobs[head_id].spec.resources, self))
+                    _, shadow, reserved = self._reservation
                 ends_in_time = now + rec.spec.walltime_s <= shadow
                 if ends_in_time or reserved.isdisjoint(allocation):
                     events.append(self._start(rec, allocation, now))
                     placed.clear()
+                    for node_id, slots in allocation.items():  # each node lost ``slots``
+                        left = self._by_id[node_id].slots_free
+                        del free[bisect.bisect_left(free, left + slots)]
+                        bisect.insort(free, left)
         if not events:
-            self._settled = (last, shadow, reserved)
+            self._settled = last
         return events
 
     def _start(self, rec: JobRecord, allocation: Allocation, now: float) -> StartEvent:
@@ -452,6 +474,7 @@ class ClusterState:
                 f"job {job_id}: {rec.state.name} does not accept {outcome.kind}"
             )
         self._settled = None
+        self._reservation = None
         rec.state = target
         rec.end_time = now
         rec.exit_code = outcome.exit_code

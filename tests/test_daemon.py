@@ -1184,6 +1184,30 @@ class TestLoadConfig:
         assert main(["--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("miniqd: auth token must be a string")
 
+    def test_token_not_encodable_as_utf8_refused_from_config(self, tmp_path, capsys):
+        # "\ud800" in the JSON decodes to a lone surrogate, which no client
+        # could ever send as UTF-8.
+        path = tmp_path / "miniqd.json"
+        path.write_text(json.dumps({"token": "\ud800x", "journal": "journal.ndjson",
+                                    "nodes": [{"id": "n1", "slots": 1}]}))
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+        assert main(["--config", str(path)]) == 1
+        assert capsys.readouterr().err == "miniqd: auth token must be valid UTF-8 text\n"
+
+    def test_token_not_encodable_as_utf8_refused_from_environment(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # os.environ decodes the byte 0xff, which is not UTF-8, to "\udcff".
+        path = tmp_path / "miniqd.json"
+        path.write_text(json.dumps({"journal": "journal.ndjson",
+                                    "nodes": [{"id": "n1", "slots": 1}]}))
+        monkeypatch.setenv(protocol.TOKEN_ENV_VAR, "\udcffx")
+        assert os.environb[protocol.TOKEN_ENV_VAR.encode()] == b"\xffx"
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+        assert main(["--config", str(path)]) == 1
+        assert capsys.readouterr().err == "miniqd: auth token must be valid UTF-8 text\n"
+
     def test_malformed_journal_entry_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, [{"id": "n1", "slots": 2}])
         journal = tmp_path / "journal.ndjson"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import collections
 import copy
 import importlib
@@ -232,6 +233,45 @@ class TestShadowTime:
                                            "multi-node", "features", "tied")) >= 50, seen
 
 
+class TestFreeCount:
+    """The count a backfill pass makes before it probes: a request passes
+    only if enough nodes hold a full slot group, by the ascending list of
+    every node's free slots."""
+
+    def test_random_states_count_rejects_only_what_first_fit_cannot_place(self):
+        # Mixed features and multi-node requests on random busy clusters.
+        # The count ignores features, so it may admit a request first_fit
+        # cannot place, but never rejects one first_fit could; without
+        # features the two agree.  Every case must come up.
+        rng = random.Random(18)
+        pool = [frozenset(), frozenset({"gpu"}), frozenset({"big"}), frozenset({"gpu", "big"})]
+        seen = collections.Counter()
+        for _ in range(3000):
+            count = rng.randrange(1, 7)
+            state = make_cluster(*(rng.randrange(1, 7) for _ in range(count)),
+                                 features=tuple(rng.choice(pool) for _ in range(count)))
+            for _ in range(rng.randrange(0, 10)):
+                spec = make_spec(nodes=rng.randrange(1, 3), slots=rng.randrange(1, 5),
+                                 features=rng.choice(pool[:2]))
+                if state.satisfiable(spec.resources):
+                    state.submit(spec, "/tmp", 0)
+                    state.tick(0)
+            request = ResourceRequest(nodes=rng.randrange(1, 4), slots_per_node=rng.randrange(1, 5),
+                                      features=rng.choice(pool[:2]))
+            free = sorted(node.slots_free for node in state.nodes)
+            admitted = len(free) - bisect.bisect_left(free, request.slots_per_node) >= request.nodes
+            placed = first_fit(request, state.nodes) is not None
+            if not admitted:
+                assert not placed, (state.nodes, request)
+            elif not request.features:
+                assert placed, (state.nodes, request)
+            seen[("admitted" if admitted else "rejected", bool(request.features), placed)] += 1
+            seen["multi-node"] += request.nodes > 1
+        assert min(seen[case] for case in (("rejected", False, False), ("rejected", True, False),
+                                           ("admitted", False, True), ("admitted", True, True),
+                                           ("admitted", True, False), "multi-node")) >= 50, seen
+
+
 class TestTick:
     def test_idle_cluster_starts_pending_job(self, two_node_cluster):
         job_id = two_node_cluster.submit(make_spec(slots=8), "/tmp", now=0)
@@ -295,10 +335,11 @@ class TestTick:
         monkeypatch.setattr(sched, "first_fit", counting_first_fit)
         return probed
 
-    def test_unplaceable_shape_probed_once_per_pass(self, monkeypatch):
+    def test_unplaceable_shape_rejected_by_count(self, monkeypatch):
         # n1 is held until t=100 and reserved for the head.  Two queued jobs
-        # want two 2-slot groups, which only n2 can give: no placement.  A
-        # job of another shape behind them fits on n2 and must still start.
+        # want two 2-slot groups, which only n2 can give: the free-node count
+        # rules them out without a probe.  A job of another shape behind
+        # them fits on n2 and must still start.
         state = make_cluster(4, 2)
         state.submit(make_spec(nodes=1, slots=4, walltime_s=100), "/tmp", 0)
         state.tick(0)
@@ -310,7 +351,27 @@ class TestTick:
         events = state.tick(5)
         assert [e.job_id for e in events] == [small]
         assert [state.jobs[j].state for j in (head, *wide)] == [JobStatus.PENDING] * 3
-        assert probed.count(ResourceRequest(nodes=2, slots_per_node=2)) == 1
+        assert probed.count(ResourceRequest(nodes=2, slots_per_node=2)) == 0
+        state.assert_conservation()
+
+    def test_shape_failing_on_features_probed_once_per_pass(self, monkeypatch):
+        # n1 is held until t=100 and reserved for the head.  Two queued jobs
+        # want a 2-slot group on a gpu node: n2 and n3 have the slots, so the
+        # count admits them, but only n1 carries gpu.  One probe finds no
+        # placement; the job behind them fits on n2 and must still start.
+        gpu = frozenset({"gpu"})
+        state = make_cluster(4, 2, 2, features=(gpu, frozenset(), frozenset()))
+        state.submit(make_spec(nodes=1, slots=4, walltime_s=100), "/tmp", 0)
+        state.tick(0)
+        head = state.submit(make_spec(nodes=1, slots=4, walltime_s=10, features=gpu), "/tmp", 1)
+        tagged = [state.submit(make_spec(nodes=1, slots=2, walltime_s=5, features=gpu), "/tmp", 1)
+                  for _ in range(2)]
+        small = state.submit(make_spec(nodes=1, slots=2, walltime_s=500), "/tmp", 1)
+        probed = self.count_probes(monkeypatch)
+        events = state.tick(5)
+        assert events == [(small, {"n2": 2})]
+        assert [state.jobs[j].state for j in (head, *tagged)] == [JobStatus.PENDING] * 3
+        assert probed.count(ResourceRequest(nodes=1, slots_per_node=2, features=gpu)) == 1
         state.assert_conservation()
 
     def test_blocked_shape_probed_once_per_pass(self, monkeypatch):
@@ -340,7 +401,7 @@ class TestTick:
         # n1's two slots are held until t=100; the head needs one slot on
         # each node, so all three are reserved.  The placement on n2 found
         # for the long jobs is reused by the first short one; the next short
-        # job is placed anew on n3, and the last finds no room at all.
+        # job is placed anew on n3, and the count leaves the last no node.
         state = make_cluster(2, 1, 1)
         state.submit(make_spec(nodes=1, slots=2, walltime_s=100), "/tmp", 0)
         state.tick(0)
@@ -354,7 +415,7 @@ class TestTick:
         assert events == [(short[0], {"n2": 1}), (short[1], {"n3": 1})]
         assert [state.jobs[j].state for j in (head, *long_jobs, short[2])] == \
             [JobStatus.PENDING] * 4
-        assert probed.count(ResourceRequest(nodes=1, slots_per_node=1)) == 3
+        assert probed.count(ResourceRequest(nodes=1, slots_per_node=1)) == 2
         state.assert_conservation()
 
     def test_clock_must_not_go_backwards(self, two_node_cluster):
@@ -424,6 +485,45 @@ class TestSettledPass:
         state, blocker, head, held = self._settled_state()
         state.transition(head, Outcome.cancel(), 41)
         assert state.tick(41) == [(held, {"n2": 1})]
+        state.assert_conservation()
+
+    def test_backfill_start_keeps_the_reservation(self, monkeypatch):
+        # n1 is held until t=100 and the head needs one slot on both nodes.
+        # Two short jobs backfill onto n2 in two passes: both end by t=100,
+        # so the reservation made for the first still holds for the second.
+        state = make_cluster(1, 2)
+        state.submit(make_spec(nodes=1, slots=1, walltime_s=100), "/tmp", 0)
+        state.tick(0)
+        head = state.submit(make_spec(nodes=2, slots=1, walltime_s=10), "/tmp", 1)
+        heads = self.count_shadows(monkeypatch)
+        for at in (40, 41):
+            short = state.submit(make_spec(nodes=1, slots=1, walltime_s=50), "/tmp", at)
+            assert state.tick(at) == [(short, {"n2": 1})]
+        assert heads == [ResourceRequest(nodes=2, slots_per_node=1)]
+        head_request = state.jobs[head].spec.resources
+        assert state._reservation == (head, *shadow_time(head_request, state))
+        state.assert_conservation()
+
+    def test_end_drops_the_reservation(self, monkeypatch):
+        # n1 is held until t=100 and n2 until t=50; the head needs all three
+        # nodes, so its shadow is t=100.  n1's job ends early at t=30, which
+        # brings the shadow forward to t=50: a job that would have ended by
+        # t=100 no longer ends by the shadow, and every node is reserved.
+        state = make_cluster(1, 1, 1)
+        blockers = [state.submit(make_spec(nodes=1, slots=1, walltime_s=wall), "/tmp", 0)
+                    for wall in (100, 50)]
+        state.tick(0)
+        head = state.submit(make_spec(nodes=3, slots=1, walltime_s=10), "/tmp", 1)
+        held = state.submit(make_spec(nodes=1, slots=1, walltime_s=500), "/tmp", 1)
+        assert state.tick(1) == []
+        assert state._reservation == (head, 100, {"n1", "n2", "n3"})
+        state.transition(blockers[0], Outcome.exit(0), 30)
+        heads = self.count_shadows(monkeypatch)
+        late = state.submit(make_spec(nodes=1, slots=1, walltime_s=30), "/tmp", 30)
+        assert state.tick(30) == []  # 30 + 30 > 50
+        assert len(heads) == 1
+        assert state._reservation == (head, 50, {"n1", "n2", "n3"})
+        assert [state.jobs[j].state for j in (head, held, late)] == [JobStatus.PENDING] * 3
         state.assert_conservation()
 
     def test_time_alone_starts_no_settled_job(self, monkeypatch):
@@ -651,7 +751,7 @@ class TestArrivalsDifferential:
     """``perfbench/backlog.py``'s trace generator at a smaller scale (8 nodes
     of 4 slots, one tagged; two bursts of 100 jobs): on every seed each
     start must equal ``perfbench/refsched.py``'s, and a replay in which
-    every pass examines the whole queue."""
+    every pass examines the whole queue and computes its reservation anew."""
 
     def test_small_bursty_traces_match_reference_and_full_passes(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -664,14 +764,24 @@ class TestArrivalsDifferential:
         heads = TestSettledPass.count_shadows(monkeypatch)
 
         def replay(trace, specs, state, full_passes: bool) -> dict[int, int]:
+            tick = state.tick
             if full_passes:
-                tick = state.tick
-
                 def full_tick(now):
-                    state._settled = None
+                    state._settled = state._reservation = None
                     return tick(now)
 
                 state.tick = full_tick
+            else:
+                def checked_tick(now):
+                    events = tick(now)
+                    if state._reservation is not None and state.queue and \
+                            state._reservation[0] == state.queue[0]:
+                        head = state.jobs[state.queue[0]].spec.resources
+                        assert state._reservation[1:] == shadow_time(head, state), now
+                        checked[0] += 1
+                    return events
+
+                state.tick = checked_tick
             starts: dict[int, int] = {}
             for _ in backlog.replay(trace, specs, state, starts):
                 pass
@@ -680,6 +790,7 @@ class TestArrivalsDifferential:
             return starts
 
         shadows = [0, 0]
+        checked = [0]  # ticks after which a kept reservation was checked
         for seed in range(50):
             trace, specs, state = backlog.setup(seed)
             expected = refsched.simulate([backlog.SLOTS] * backlog.N_NODES,
@@ -689,8 +800,10 @@ class TestArrivalsDifferential:
                 before = len(heads)
                 assert replay(trace, specs, cluster, full_passes) == expected, (seed, full_passes)
                 shadows[full_passes] += len(heads) - before
-        # The settled skip was taken: it saved reservations.
+        # The settled skip and the kept reservation were taken: they saved
+        # reservations, and each one kept matched a fresh one.
         assert shadows[0] < shadows[1], shadows
+        assert checked[0] > 10_000, checked
 
 
 class TestDeterminism:
