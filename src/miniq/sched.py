@@ -289,8 +289,10 @@ class ClusterState:
         self.running: dict[int, JobRecord] = {}  # the Running subset of jobs
         # (start_time + walltime_s, id, allocation) per Running job, ascending.
         self.releases: list[tuple[float, int, Allocation]] = []
-        # The last queued id examined by the last pass, if it started nothing
-        # and no start or end has happened since.
+        # The last queued id examined by the last pass, if no job examined
+        # up to it can start until a job ends: the pass started nothing, or
+        # it examined the whole queue and no start took slots on a node a
+        # held job was placed on (see ``tick``).
         self._settled: int | None = None
         # (head id, shadow time, reserved nodes) of the last reservation made;
         # it holds until a job ends or the head changes (see ``tick``).
@@ -298,6 +300,8 @@ class ClusterState:
         self.clock = 0.0
         self._next_id = 1
         self._by_id = {node.id: node for node in nodes}
+        # Every node's slots_free, ascending; ``_bind`` keeps it in step.
+        self._free = sorted(node.slots_free for node in nodes)
         # Shapes known to fit an idle cluster.  Nodes never change their
         # slots_total or features, so the answer holds for good; only True is
         # kept, which bounds the set by the node inventory.
@@ -350,12 +354,19 @@ class ClusterState:
         Starts head jobs while they fit; when the head is blocked, computes
         its shadow reservation and backfills later jobs that either finish by
         the shadow time or avoid the reserved nodes entirely.  One pass per
-        tick, strict queue order.
+        tick, strict queue order.  A request for N nodes x S slots, the
+        head's included, is probed with ``first_fit`` only if N entries of
+        ``_free`` are S or more, features aside.
 
         After a pass that started nothing, later passes examine only the jobs
         submitted since, until a job starts or ends: free slots change only
         then, and a job held back by the reservation stays held back as time
-        passes, since ``now + walltime_s`` only grows.
+        passes, since ``now + walltime_s`` only grows.  A pass over the whole
+        queue that started jobs settles it the same way, unless a backfill
+        start took slots on a node where a held job was placed: free slots
+        only shrink until a job ends, so a request that found no placement
+        finds none later, and ``first_fit`` hands a held job the same nodes
+        while none of them loses slots.
 
         The head's reservation is kept across passes and backfill starts
         until a job ends or the head changes: a backfilled job either ends by
@@ -367,11 +378,18 @@ class ClusterState:
             raise ValueError(f"clock went backwards: {now} < {self.clock}")
         self.clock = now
         events: list[StartEvent] = []
+        free = self._free
+        # Only a pass over the whole queue has seen where every held job
+        # was placed.
+        settles = self._settled is None
 
-        if self._settled is None:
+        if settles:
             while self.queue:
                 head = self.jobs[self.queue[0]]
-                allocation = first_fit(head.spec.resources, self.nodes)
+                request = head.spec.resources
+                if len(free) - bisect.bisect_left(free, request.slots_per_node) < request.nodes:
+                    break
+                allocation = first_fit(request, self.nodes)
                 if allocation is None:
                     break
                 events.append(self._start(head, allocation, now))
@@ -388,13 +406,11 @@ class ClusterState:
             # Free slots only shrink during the pass, so a shape that found
             # no placement finds none for the rest of it.  A placement found
             # holds until the next start; until then, later jobs of its shape
-            # reuse it.  A shape is probed only if enough nodes hold a full
-            # slot group, features aside, as counted in the ascending ``free``.
-            # The reservation is looked up at the first placement, which
-            # precedes every backfill start.
+            # reuse it.  The reservation is looked up at the first placement,
+            # which precedes every backfill start.
             unplaceable: set[ResourceRequest] = set()
             placed: dict[ResourceRequest, Allocation] = {}
-            free = sorted(node.slots_free for node in self.nodes)
+            held: set[str] = set()  # the nodes of every placement held back
             shadow = None
             for job_id in self.queue[rest:]:
                 rec = self.jobs[job_id]
@@ -418,13 +434,12 @@ class ClusterState:
                     _, shadow, reserved = self._reservation
                 ends_in_time = now + rec.spec.walltime_s <= shadow
                 if ends_in_time or reserved.isdisjoint(allocation):
+                    settles = settles and held.isdisjoint(allocation)
                     events.append(self._start(rec, allocation, now))
                     placed.clear()
-                    for node_id, slots in allocation.items():  # each node lost ``slots``
-                        left = self._by_id[node_id].slots_free
-                        del free[bisect.bisect_left(free, left + slots)]
-                        bisect.insort(free, left)
-        if not events:
+                else:
+                    held.update(allocation)
+        if settles or not events:
             self._settled = last
         return events
 
@@ -443,10 +458,13 @@ class ClusterState:
         """Take (``sign`` -1) or give back (+1) an allocation's slots, skipping
         nodes no longer configured, which only a replayed allocation names."""
         by_id = self._by_id
+        free = self._free
         for node_id, slots in allocation.items():
             node = by_id.get(node_id)
             if node is not None:
+                del free[bisect.bisect_left(free, node.slots_free)]
                 node.slots_free += sign * slots
+                bisect.insort(free, node.slots_free)
 
     # -- lifecycle ----------------------------------------------------- #
 
@@ -509,7 +527,8 @@ class ClusterState:
 
     def assert_conservation(self) -> None:
         """slots_total - slots_free on each node equals the slots bound to it
-        by Running jobs; ``running`` holds exactly the Running records, and
+        by Running jobs, and ``_free`` holds every node's slots_free in
+        ascending order; ``running`` holds exactly the Running records, and
         ``releases`` each of them once, in end order, with its allocation; jobs
         iterate in ascending id order; queue holds exactly the Pending ids in
         ascending order."""
@@ -537,6 +556,9 @@ class ClusterState:
                 )
             if node.slots_free < 0 or node.slots_free > node.slots_total:
                 raise AssertionError(f"node {node.id}: slots_free {node.slots_free} out of range")
+        free = sorted(node.slots_free for node in self.nodes)
+        if self._free != free:
+            raise AssertionError(f"free-slot index {self._free} != nodes' slots_free {free}")
         pending = [jid for jid, rec in self.jobs.items() if rec.state is JobStatus.PENDING]
         if self.queue != pending:
             raise AssertionError(f"queue {self.queue} != pending ids {pending}")

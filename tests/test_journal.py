@@ -409,6 +409,14 @@ def _random_history(path, seed: int = 5150, steps: int = 300) -> LiveDaemonSim:
     return sim
 
 
+# The nodes of ``fresh_nodes`` with one removed, and with fewer slots each.
+SHRUNK_CLUSTERS = [
+    pytest.param([Node(id="n1", slots_total=4)], id="a node removed"),
+    pytest.param([Node(id="n1", slots_total=2), Node(id="n2", slots_total=2)],
+                 id="smaller nodes"),
+]
+
+
 class TestReplayLifecycle:
     """Replay runs each entry through the lifecycle the live state ran."""
 
@@ -420,11 +428,7 @@ class TestReplayLifecycle:
         assert conserving_replay == [entry.seq for entry in read_entries(str(path))]
         assert_all_slots_free(recovered)
 
-    @pytest.mark.parametrize("nodes", [
-        pytest.param([Node(id="n1", slots_total=4)], id="a node removed"),
-        pytest.param([Node(id="n1", slots_total=2), Node(id="n2", slots_total=2)],
-                     id="smaller nodes"),
-    ])
+    @pytest.mark.parametrize("nodes", SHRUNK_CLUSTERS)
     def test_history_recovers_onto_a_shrunk_cluster(self, tmp_path, nodes):
         path = tmp_path / "j"
         sim = _random_history(path)

@@ -16,7 +16,7 @@ import pytest
 import refsim
 from conftest import make_cluster, make_spec
 from harness import run_cluster
-from miniq import sched
+from miniq import journal, sched
 from miniq.errors import InvalidTransition, NoSuchJob, Unsatisfiable
 from miniq.sched import (
     ClusterState,
@@ -27,6 +27,7 @@ from miniq.sched import (
     first_fit,
     shadow_time,
 )
+from test_journal import SHRUNK_CLUSTERS, _random_history
 
 
 class TestSubmit:
@@ -234,42 +235,90 @@ class TestShadowTime:
 
 
 class TestFreeCount:
-    """The count a backfill pass makes before it probes: a request passes
-    only if enough nodes hold a full slot group, by the ascending list of
-    every node's free slots."""
+    """The count a pass makes before it probes: a request passes only if
+    enough nodes hold a full slot group, by ``ClusterState._free``, the
+    ascending list of every node's free slots that the cluster state keeps."""
 
-    def test_random_states_count_rejects_only_what_first_fit_cannot_place(self):
-        # Mixed features and multi-node requests on random busy clusters.
+    POOL = [frozenset(), frozenset({"gpu"}), frozenset({"big"}), frozenset({"gpu", "big"})]
+
+    @staticmethod
+    def check_count(state: ClusterState, request: ResourceRequest, seen: collections.Counter):
         # The count ignores features, so it may admit a request first_fit
         # cannot place, but never rejects one first_fit could; without
-        # features the two agree.  Every case must come up.
+        # features the two agree.
+        free = state._free
+        assert free == sorted(node.slots_free for node in state.nodes)
+        admitted = len(free) - bisect.bisect_left(free, request.slots_per_node) >= request.nodes
+        placed = first_fit(request, state.nodes) is not None
+        if not admitted:
+            assert not placed, (state.nodes, request)
+        elif not request.features:
+            assert placed, (state.nodes, request)
+        seen[("admitted" if admitted else "rejected", bool(request.features), placed)] += 1
+        seen["multi-node"] += request.nodes > 1
+        seen["below zero"] += free[0] < 0
+
+    def random_request(self, rng: random.Random) -> ResourceRequest:
+        return ResourceRequest(nodes=rng.randrange(1, 4), slots_per_node=rng.randrange(1, 5),
+                               features=rng.choice(self.POOL[:2]))
+
+    def random_step(self, state: ClusterState, rng: random.Random, now: int) -> None:
+        """A submit, a tick, an end of a Running job or a cancel of a Pending one."""
+        roll = rng.random()
+        if roll < 0.4:
+            spec = make_spec(nodes=rng.randrange(1, 3), slots=rng.randrange(1, 5),
+                             walltime_s=rng.randrange(1, 30), features=rng.choice(self.POOL[:2]))
+            if state.satisfiable(spec.resources):
+                state.submit(spec, "/tmp", now)
+        elif roll < 0.7:
+            state.tick(now)
+        elif roll < 0.9 and state.running:
+            state.transition(rng.choice(list(state.running)),
+                             rng.choice([Outcome.exit(0), Outcome.timeout(), Outcome.cancel()]),
+                             now)
+        elif state.queue:
+            state.transition(rng.choice(state.queue), Outcome.cancel(), now)
+
+    def test_random_states_count_rejects_only_what_first_fit_cannot_place(self):
+        # Mixed features and multi-node requests on random clusters, checked
+        # after every step.  Every case must come up.
         rng = random.Random(18)
-        pool = [frozenset(), frozenset({"gpu"}), frozenset({"big"}), frozenset({"gpu", "big"})]
         seen = collections.Counter()
-        for _ in range(3000):
+        for _ in range(300):
             count = rng.randrange(1, 7)
             state = make_cluster(*(rng.randrange(1, 7) for _ in range(count)),
-                                 features=tuple(rng.choice(pool) for _ in range(count)))
-            for _ in range(rng.randrange(0, 10)):
-                spec = make_spec(nodes=rng.randrange(1, 3), slots=rng.randrange(1, 5),
-                                 features=rng.choice(pool[:2]))
-                if state.satisfiable(spec.resources):
-                    state.submit(spec, "/tmp", 0)
-                    state.tick(0)
-            request = ResourceRequest(nodes=rng.randrange(1, 4), slots_per_node=rng.randrange(1, 5),
-                                      features=rng.choice(pool[:2]))
-            free = sorted(node.slots_free for node in state.nodes)
-            admitted = len(free) - bisect.bisect_left(free, request.slots_per_node) >= request.nodes
-            placed = first_fit(request, state.nodes) is not None
-            if not admitted:
-                assert not placed, (state.nodes, request)
-            elif not request.features:
-                assert placed, (state.nodes, request)
-            seen[("admitted" if admitted else "rejected", bool(request.features), placed)] += 1
-            seen["multi-node"] += request.nodes > 1
+                                 features=tuple(rng.choice(self.POOL) for _ in range(count)))
+            for now in range(rng.randrange(1, 30)):
+                self.random_step(state, rng, now)
+                self.check_count(state, self.random_request(rng), seen)
+            state.assert_conservation()
         assert min(seen[case] for case in (("rejected", False, False), ("rejected", True, False),
                                            ("admitted", False, True), ("admitted", True, True),
                                            ("admitted", True, False), "multi-node")) >= 50, seen
+
+    @pytest.mark.parametrize("nodes", SHRUNK_CLUSTERS)
+    def test_recover_onto_a_shrunk_cluster_keeps_the_index(self, tmp_path, monkeypatch, nodes):
+        # Replay binds the journaled allocations, which may hold more slots
+        # than a smaller node has, so its slots_free goes below 0 until the
+        # jobs still Running are failed; the index follows it there.
+        rng = random.Random(19)
+        seen = collections.Counter()
+        replay = journal._replay
+
+        def replay_and_check(entry, cluster, sessions_open):
+            replay(entry, cluster, sessions_open)
+            self.check_count(cluster, self.random_request(rng), seen)
+
+        monkeypatch.setattr(journal, "_replay", replay_and_check)
+        path = tmp_path / "j"
+        _random_history(path)
+        state = journal.recover(str(path), nodes).cluster
+        # Only the smaller nodes go below 0: replay skips the removed node.
+        assert (seen["below zero"] > 0) is (len(nodes) == 2), seen
+        for now in range(1000, 1200):
+            self.random_step(state, rng, now)
+            self.check_count(state, self.random_request(rng), seen)
+            state.assert_conservation()
 
 
 class TestTick:
@@ -334,6 +383,15 @@ class TestTick:
 
         monkeypatch.setattr(sched, "first_fit", counting_first_fit)
         return probed
+
+    def test_head_failing_the_count_is_not_probed(self, monkeypatch):
+        # n1 is held until t=100 and the head needs a slot on both nodes;
+        # only n2 has one free, so the count rules the head out unprobed.
+        state, head = self._blocked_head_state()
+        probed = self.count_probes(monkeypatch)
+        assert state.tick(20) == []
+        assert probed == []
+        assert state.jobs[head].state is JobStatus.PENDING
 
     def test_unplaceable_shape_rejected_by_count(self, monkeypatch):
         # n1 is held until t=100 and reserved for the head.  Two queued jobs
@@ -425,9 +483,10 @@ class TestTick:
 
 
 class TestSettledPass:
-    """After a pass that starts nothing, the next examines only the jobs
-    submitted since; a start, an end or a cancel makes it examine the whole
-    queue again."""
+    """After a pass that starts nothing, or a pass over the whole queue whose
+    starts take no slots on a held job's nodes, the next examines only the
+    jobs submitted since; an end, a cancel or any other start makes it
+    examine the whole queue again."""
 
     @staticmethod
     def count_shadows(monkeypatch) -> list:
@@ -450,17 +509,22 @@ class TestSettledPass:
         (blocker,) = state.running
         return state, blocker, head, held
 
-    def test_new_submits_alone_examine_only_the_new_jobs(self, monkeypatch):
+    @staticmethod
+    def _held_on_n2_state(n4_slots: int = 1):
         # n1 and n3 are held until t=100 and the head needs three nodes, so
-        # n1-n3 are reserved and n4 is not.  The long job first-fits on n2,
-        # a reserved node, and waits.
-        state = make_cluster(1, 1, 1, 1)
-        held = [state.submit(make_spec(nodes=1, slots=1, walltime_s=wall), "/tmp", 0)
-                for wall in (100, 1, 100)]
+        # n1-n3 are reserved and n4 is not.  The long job behind the head
+        # first-fits on n2, a reserved node, and will be held back.
+        state = make_cluster(1, 1, 1, n4_slots)
+        blockers = [state.submit(make_spec(nodes=1, slots=1, walltime_s=wall), "/tmp", 0)
+                    for wall in (100, 1, 100)]
         state.tick(0)
-        state.transition(held[1], Outcome.exit(0), 1)
+        state.transition(blockers[1], Outcome.exit(0), 1)
         head = state.submit(make_spec(nodes=3, slots=1, walltime_s=10), "/tmp", 2)
         long_job = state.submit(make_spec(nodes=1, slots=1, walltime_s=500), "/tmp", 2)
+        return state, head, long_job
+
+    def test_new_submits_alone_examine_only_the_new_jobs(self, monkeypatch):
+        state, head, long_job = self._held_on_n2_state()
         assert state.tick(5) == []
 
         heads = self.count_shadows(monkeypatch)
@@ -473,6 +537,40 @@ class TestSettledPass:
         assert state.tick(7) == [(long_job, {"n4": 1})]
         assert state.jobs[head].state is JobStatus.PENDING
         state.assert_conservation()
+
+    def test_start_off_every_held_node_settles_the_queue(self, monkeypatch):
+        # Only n4 holds two slots, so the wide job starts there, off the
+        # reservation and off n2: nothing the pass examined can start until
+        # a job ends, and the pass a second later examines nothing.
+        state, head, long_job = self._held_on_n2_state(n4_slots=2)
+        wide = state.submit(make_spec(nodes=1, slots=2, walltime_s=500), "/tmp", 2)
+        assert state.tick(5) == [(wide, {"n4": 2})]
+        heads = self.count_shadows(monkeypatch)
+        probed = TestTick.count_probes(monkeypatch)
+        assert state.tick(6) == []
+        assert (heads, probed) == ([], [])
+        assert [state.jobs[j].state for j in (head, long_job)] == [JobStatus.PENDING] * 2
+        state.assert_conservation()
+
+    def test_start_on_a_held_node_leaves_the_queue_unsettled(self):
+        # The short job takes n2 and ends by t=100, so it starts; the held
+        # long job now first-fits on n4, outside the reservation, and the
+        # pass a second later starts it, as a pass over the whole queue does.
+        def run(full_passes: bool) -> tuple:
+            state, head, long_job = self._held_on_n2_state()
+            short = state.submit(make_spec(nodes=1, slots=1, walltime_s=10), "/tmp", 2)
+            passes = []
+            for now in (5, 6, 7):
+                if full_passes:
+                    state._settled = state._reservation = None
+                passes.append(state.tick(now))
+            assert state.jobs[head].state is JobStatus.PENDING
+            state.assert_conservation()
+            return passes, long_job, short
+
+        passes, long_job, short = run(full_passes=False)
+        assert passes == [[(short, {"n2": 1})], [(long_job, {"n4": 1})], []]
+        assert run(full_passes=True)[0] == passes
 
     def test_end_makes_the_next_pass_examine_the_queue(self):
         state, blocker, head, held = self._settled_state()
@@ -774,6 +872,7 @@ class TestArrivalsDifferential:
             else:
                 def checked_tick(now):
                     events = tick(now)
+                    settled_after_start[0] += bool(events) and state._settled is not None
                     if state._reservation is not None and state.queue and \
                             state._reservation[0] == state.queue[0]:
                         head = state.jobs[state.queue[0]].spec.resources
@@ -791,6 +890,7 @@ class TestArrivalsDifferential:
 
         shadows = [0, 0]
         checked = [0]  # ticks after which a kept reservation was checked
+        settled_after_start = [0]  # ticks that started jobs and settled the queue
         for seed in range(50):
             trace, specs, state = backlog.setup(seed)
             expected = refsched.simulate([backlog.SLOTS] * backlog.N_NODES,
@@ -801,9 +901,11 @@ class TestArrivalsDifferential:
                 assert replay(trace, specs, cluster, full_passes) == expected, (seed, full_passes)
                 shadows[full_passes] += len(heads) - before
         # The settled skip and the kept reservation were taken: they saved
-        # reservations, and each one kept matched a fresh one.
+        # reservations, and each one kept matched a fresh one.  Passes that
+        # started jobs settled the queue too, with the same starts.
         assert shadows[0] < shadows[1], shadows
         assert checked[0] > 10_000, checked
+        assert settled_after_start[0] > 2_500, settled_after_start
 
 
 class TestDeterminism:
