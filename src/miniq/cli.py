@@ -147,6 +147,15 @@ def _connect(args) -> Client:
     return client
 
 
+def _call(args, message: dict) -> dict:
+    """Send one request on its own connection; returns the ok reply's payload."""
+    client = _connect(args)
+    try:
+        return client.expect_ok(message)
+    finally:
+        client.close()
+
+
 # ----- commands ---------------------------------------------------------- #
 
 def cmd_submit(args) -> int:
@@ -166,18 +175,14 @@ def cmd_submit(args) -> int:
         return EXIT_PARSE
 
     submit_dir = os.path.abspath(args.workdir or os.getcwd())
-    client = _connect(args)
-    try:
-        payload = client.expect_ok({
-            "type": "submit",
-            "script": script_text,
-            "submit_dir": submit_dir,
-            "dialect": args.dialect,
-            "script_name": script_path.stem,
-            "strict": args.strict,
-        })
-    finally:
-        client.close()
+    payload = _call(args, {
+        "type": "submit",
+        "script": script_text,
+        "submit_dir": submit_dir,
+        "dialect": args.dialect,
+        "script_name": script_path.stem,
+        "strict": args.strict,
+    })
     for warning in payload.get("warnings", ()):
         print(f"miniq: warning: {warning}", file=sys.stderr)
     print(payload["job_id"])
@@ -199,16 +204,7 @@ def _print_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
 
 
 def cmd_stat(args) -> int:
-    client = _connect(args)
-    try:
-        payload = client.expect_ok({
-            "type": "status",
-            "state": args.state,
-            "job_id": args.job_id,
-        })
-    finally:
-        client.close()
-    rows = payload["rows"]
+    rows = _call(args, {"type": "status", "state": args.state, "job_id": args.job_id})["rows"]
     if args.json:
         for row in rows:
             print(json.dumps(row, sort_keys=True))
@@ -229,11 +225,7 @@ def cmd_stat(args) -> int:
 
 
 def cmd_cancel(args) -> int:
-    client = _connect(args)
-    try:
-        payload = client.expect_ok({"type": "cancel", "job_id": args.job_id})
-    finally:
-        client.close()
+    payload = _call(args, {"type": "cancel", "job_id": args.job_id})
     print(f"cancelled {payload['job_id']}")
     return EXIT_OK
 
@@ -245,26 +237,14 @@ def cmd_session_run(args) -> int:
     if not command:
         print("miniq: session run needs a command after --", file=sys.stderr)
         return EXIT_TARGET
-    client = _connect(args)
-    try:
-        payload = client.expect_ok({
-            "type": "session_create",
-            "name": args.session_name,
-            "command": command,
-        })
-    finally:
-        client.close()
+    payload = _call(args, {"type": "session_create", "name": args.session_name,
+                           "command": command})
     print(payload["name"])
     return EXIT_OK
 
 
 def cmd_session_list(args) -> int:
-    client = _connect(args)
-    try:
-        payload = client.expect_ok({"type": "session_list"})
-    finally:
-        client.close()
-    rows = payload["sessions"]
+    rows = _call(args, {"type": "session_list"})["sessions"]
     if args.json:
         for row in rows:
             print(json.dumps(row, sort_keys=True))
@@ -283,11 +263,7 @@ def cmd_session_list(args) -> int:
 
 
 def cmd_session_kill(args) -> int:
-    client = _connect(args)
-    try:
-        payload = client.expect_ok({"type": "session_kill", "name": args.name})
-    finally:
-        client.close()
+    payload = _call(args, {"type": "session_kill", "name": args.name})
     print(f"killed {payload['name']}")
     return EXIT_OK
 

@@ -41,7 +41,7 @@ from .runtime import (
     poll_walltime,
     terminate,
 )
-from .sched import ClusterState, JobStatus, Node, Outcome, status_from_code
+from .sched import ClusterState, JobStatus, Node, Outcome
 
 DEFAULT_TICK_INTERVAL_S = 0.2
 MIN_TICK_INTERVAL_S = 0.01
@@ -272,14 +272,22 @@ class Daemon:
                        "submit needs script text, submit_dir and a string script_name"), None
         if not os.path.isabs(submit_dir):
             return err("invalid-request", "submit_dir must be an absolute path"), None
+        # An absent field or null means "not given"; any other value must
+        # have the field's type.
         dialect = message.get("dialect")
-        if dialect and dialect not in [known.value for known in Dialect]:
-            return err("invalid-request", f"unknown dialect {dialect!r}"), None
+        if dialect is not None:
+            try:
+                dialect = Dialect(dialect)
+            except ValueError:
+                return err("invalid-request", f"unknown dialect {dialect!r}"), None
+        strict = message.get("strict")
+        if strict is not None and type(strict) is not bool:
+            return err("invalid-request", f"strict must be true or false, not {strict!r}"), None
         parsed = parse_script(
             script,
-            dialect=Dialect(dialect) if dialect else None,
+            dialect=dialect,
             default_name=script_name or "job",
-            strict=bool(message.get("strict", False)),
+            strict=bool(strict),
         )
         with self._mu:
             now = self._clock()
@@ -289,11 +297,11 @@ class Daemon:
 
     def _handle_status(self, message: dict):
         states = None
-        if message.get("state"):
+        if message.get("state") is not None:
             try:
-                states = {status_from_code(message["state"])}
-            except ValueError as exc:
-                return err("invalid-request", str(exc)), None
+                states = {JobStatus(message["state"])}
+            except ValueError:
+                return err("invalid-request", f"unknown state code {message['state']!r}"), None
         job_id = message.get("job_id")
         with self._mu:
             rows = self.state.snapshot(self._clock(), states=states, job_id=job_id)
@@ -312,7 +320,7 @@ class Daemon:
             if proc is not None:
                 terminate(proc)
                 self._dying.append((proc, now))
-        return ok({"job_id": job_id, "state": JobStatus.CANCELLED.code}), None
+        return ok({"job_id": job_id, "state": JobStatus.CANCELLED.value}), None
 
     def _handle_session_create(self, message: dict):
         name = message.get("name")

@@ -150,7 +150,7 @@ class Journal:
         return self.append(EVENT_STARTED, {"job_id": rec.id, "allocation": rec.allocation}, at)
 
     def ended(self, rec: JobRecord, at: float) -> JournalEntry:
-        data = {"job_id": rec.id, "state": rec.state.code, "exit_code": rec.exit_code,
+        data = {"job_id": rec.id, "state": rec.state.value, "exit_code": rec.exit_code,
                 "reason": rec.reason}
         return self.append(EVENT_ENDED, data, at)
 

@@ -33,23 +33,10 @@ class JobStatus(enum.Enum):
     TIMED_OUT = "TO"
     CANCELLED = "CA"
 
-    @property
-    def code(self) -> str:
-        return self.value
-
 
 TERMINAL_STATES = frozenset(
     {JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.TIMED_OUT, JobStatus.CANCELLED}
 )
-
-_CODE_TO_STATUS = {status.code: status for status in JobStatus}
-
-
-def status_from_code(code: str) -> JobStatus:
-    try:
-        return _CODE_TO_STATUS[code]
-    except (KeyError, TypeError):  # TypeError: a code that cannot be hashed
-        raise ValueError(f"unknown state code {code!r}") from None
 
 
 class Node:
@@ -65,45 +52,36 @@ class Node:
         self.slots_free = slots_total if slots_free < 0 else slots_free
 
 
-class Outcome(namedtuple("Outcome", "kind exit_code reason", defaults=(None, None))):
-    """What ended (or tried to end) a job's run: ``kind`` is exit, timeout,
-    cancel or daemon_failure."""
+class Outcome(namedtuple("Outcome", "state exit_code reason", defaults=(None, None))):
+    """What ended (or tried to end) a job's run: ``state`` is the terminal
+    state it ends the job in."""
 
     __slots__ = ()
 
     @classmethod
     def exit(cls, code: int) -> "Outcome":
-        return cls(kind="exit", exit_code=code)
+        return cls(JobStatus.COMPLETED, exit_code=code)
 
     @classmethod
     def timeout(cls) -> "Outcome":
-        return cls(kind="timeout")
+        return cls(JobStatus.TIMED_OUT)
 
     @classmethod
     def cancel(cls) -> "Outcome":
-        return cls(kind="cancel")
+        return cls(JobStatus.CANCELLED)
 
     @classmethod
     def daemon_failure(cls, reason: str) -> "Outcome":
-        return cls(kind="daemon_failure", reason=reason)
+        return cls(JobStatus.FAILED, reason=reason)
 
     @classmethod
     def ending_in(cls, code: str, exit_code: int | None, reason: str | None) -> "Outcome":
         """The outcome that ended a job in the final state ``code``, as its
         ``ended`` entry records it."""
-        if code not in _CODE_TO_OUTCOME:  # TypeError if code cannot be hashed
+        state = JobStatus(code)  # ValueError for any other value
+        if state not in TERMINAL_STATES:
             raise ValueError(f"no outcome ends a job in state {code!r}")
-        return cls(_CODE_TO_OUTCOME[code], exit_code, reason)
-
-
-_OUTCOME_TO_STATUS = {
-    "exit": JobStatus.COMPLETED,
-    "timeout": JobStatus.TIMED_OUT,
-    "cancel": JobStatus.CANCELLED,
-    "daemon_failure": JobStatus.FAILED,
-}
-# One outcome kind per final state, so a journaled state names its outcome.
-_CODE_TO_OUTCOME = {status.code: kind for kind, status in _OUTCOME_TO_STATUS.items()}
+        return cls(state, exit_code, reason)
 
 
 class JobRecord:
@@ -207,7 +185,7 @@ def status_row(rec: JobRecord, now: float) -> StatusRow:
     row = StatusRow(
         id=rec.id,
         name=rec.spec.name,
-        state=rec.state.code,
+        state=rec.state.value,
         nodes=rec.spec.resources.nodes,
         slots_per_node=rec.spec.resources.slots_per_node,
         elapsed_s=elapsed,
@@ -349,24 +327,26 @@ class ClusterState:
     # -- scheduling pass ---------------------------------------------- #
 
     def tick(self, now: float, *, backfill: bool = True) -> list[StartEvent]:
-        """One scheduling pass at instant ``now``.
+        """One scheduling pass at instant ``now``: one walk over the queue.
 
-        Starts head jobs while they fit; when the head is blocked, computes
-        its shadow reservation and backfills later jobs that either finish by
-        the shadow time or avoid the reserved nodes entirely.  One pass per
-        tick, strict queue order.  A request for N nodes x S slots, the
-        head's included, is probed with ``first_fit`` only if N entries of
-        ``_free`` are S or more, features aside.
+        Until a job fails to place, each job that fits starts as the head.
+        From then on the head is blocked: the walk computes its shadow
+        reservation and starts a later job that fits only if it finishes by
+        the shadow time or avoids the reserved nodes entirely (EASY
+        backfill); with ``backfill=False`` the walk stops at the blocked
+        head.  A request for N nodes x S slots is probed with ``first_fit``
+        only if N entries of ``_free`` are S or more, features aside.
 
-        After a pass that started nothing, later passes examine only the jobs
-        submitted since, until a job starts or ends: free slots change only
-        then, and a job held back by the reservation stays held back as time
-        passes, since ``now + walltime_s`` only grows.  A pass over the whole
-        queue that started jobs settles it the same way, unless a backfill
-        start took slots on a node where a held job was placed: free slots
-        only shrink until a job ends, so a request that found no placement
-        finds none later, and ``first_fit`` hands a held job the same nodes
-        while none of them loses slots.
+        After a pass that started nothing, later passes walk only the jobs
+        submitted since, with the head already blocked, until a job starts
+        or ends: free slots change only then, and a job held back by the
+        reservation stays held back as time passes, since
+        ``now + walltime_s`` only grows.  A pass over the whole queue that
+        started jobs settles it the same way, unless a backfill start took
+        slots on a node where a held job was placed: free slots only shrink
+        until a job ends, so a request that found no placement finds none
+        later, and ``first_fit`` hands a held job the same nodes while none
+        of them loses slots.
 
         The head's reservation is kept across passes and backfill starts
         until a job ends or the head changes: a backfilled job either ends by
@@ -379,68 +359,58 @@ class ClusterState:
         self.clock = now
         events: list[StartEvent] = []
         free = self._free
+        queue = self.queue
         # Only a pass over the whole queue has seen where every held job
         # was placed.
         settles = self._settled is None
-
         if settles:
-            while self.queue:
-                head = self.jobs[self.queue[0]]
-                request = head.spec.resources
-                if len(free) - bisect.bisect_left(free, request.slots_per_node) < request.nodes:
-                    break
-                allocation = first_fit(request, self.nodes)
-                if allocation is None:
-                    break
-                events.append(self._start(head, allocation, now))
-            if not self.queue:
-                return events
-            last = self.queue[0]
-            rest = 1
+            ids, blocked = queue[:], False
         else:
-            last = self._settled
-            rest = bisect.bisect_right(self.queue, last)  # the queue ascends by id
-
-        if backfill and rest < len(self.queue):
-            last = self.queue[-1]
-            # Free slots only shrink during the pass, so a shape that found
-            # no placement finds none for the rest of it.  A placement found
-            # holds until the next start; until then, later jobs of its shape
-            # reuse it.  The reservation is looked up at the first placement,
-            # which precedes every backfill start.
-            unplaceable: set[ResourceRequest] = set()
-            placed: dict[ResourceRequest, Allocation] = {}
-            held: set[str] = set()  # the nodes of every placement held back
-            shadow = None
-            for job_id in self.queue[rest:]:
-                rec = self.jobs[job_id]
-                request = rec.spec.resources
-                if request in unplaceable:
-                    continue
-                allocation = placed.get(request)
+            # The head is blocked and every job up to _settled stays as the
+            # last pass left it; in FIFO mode nothing behind the head starts.
+            ids = queue[bisect.bisect_right(queue, self._settled):] if backfill else []
+            blocked = True
+        # Free slots only shrink during the pass, so a shape that found no
+        # placement finds none for the rest of it.  A placement found holds
+        # until the next start; until then, later jobs of its shape reuse it.
+        unplaceable: set[ResourceRequest] = set()
+        placed: dict[ResourceRequest, Allocation] = {}
+        held: set[str] = set()  # the nodes of every placement held back
+        shadow = None
+        job_id = self._settled  # after the walk, the last id it examined
+        for job_id in ids:
+            rec = self.jobs[job_id]
+            request = rec.spec.resources
+            if request in unplaceable:
+                continue
+            allocation = placed.get(request)
+            if allocation is None:
+                if len(free) - bisect.bisect_left(free, request.slots_per_node) >= request.nodes:
+                    allocation = first_fit(request, self.nodes)
                 if allocation is None:
-                    with_group = len(free) - bisect.bisect_left(free, request.slots_per_node)
-                    if with_group >= request.nodes:
-                        allocation = first_fit(request, self.nodes)
-                    if allocation is None:
-                        unplaceable.add(request)
-                        continue
-                    placed[request] = allocation
+                    unplaceable.add(request)
+                    blocked = True
+                    if not backfill:
+                        break
+                    continue
+                placed[request] = allocation
+            if blocked:
+                # Looked up at the first placement behind the blocked head,
+                # which precedes every backfill start.
                 if shadow is None:
-                    head_id = self.queue[0]
+                    head_id = queue[0]
                     if self._reservation is None or self._reservation[0] != head_id:
                         self._reservation = (head_id, *shadow_time(
                             self.jobs[head_id].spec.resources, self))
                     _, shadow, reserved = self._reservation
-                ends_in_time = now + rec.spec.walltime_s <= shadow
-                if ends_in_time or reserved.isdisjoint(allocation):
-                    settles = settles and held.isdisjoint(allocation)
-                    events.append(self._start(rec, allocation, now))
-                    placed.clear()
-                else:
+                if now + rec.spec.walltime_s > shadow and not reserved.isdisjoint(allocation):
                     held.update(allocation)
-        if settles or not events:
-            self._settled = last
+                    continue
+            settles = settles and held.isdisjoint(allocation)
+            events.append(self._start(rec, allocation, now))
+            placed.clear()
+        if blocked and (settles or not events):
+            self._settled = job_id
         return events
 
     def _start(self, rec: JobRecord, allocation: Allocation, now: float) -> StartEvent:
@@ -477,7 +447,6 @@ class ClusterState:
         rec = self.jobs.get(job_id)
         if rec is None:
             raise NoSuchJob(f"no such job {job_id}")
-        target = _OUTCOME_TO_STATUS[outcome.kind]
         # Every outcome may end a Running job; a Pending one accepts only a cancel.
         if rec.state is JobStatus.RUNNING:
             self._bind(rec.allocation, 1)
@@ -485,15 +454,15 @@ class ClusterState:
             releases = self.releases
             del releases[bisect.bisect_left(releases, (rec.start_time + rec.spec.walltime_s,
                                                        job_id))]
-        elif rec.state is JobStatus.PENDING and target is JobStatus.CANCELLED:
+        elif rec.state is JobStatus.PENDING and outcome.state is JobStatus.CANCELLED:
             self.queue.remove(job_id)
         else:
             raise InvalidTransition(
-                f"job {job_id}: {rec.state.name} does not accept {outcome.kind}"
+                f"job {job_id}: {rec.state.name} cannot become {outcome.state.name}"
             )
         self._settled = None
         self._reservation = None
-        rec.state = target
+        rec.state = outcome.state
         rec.end_time = now
         rec.exit_code = outcome.exit_code
         rec.reason = outcome.reason

@@ -135,7 +135,7 @@ class TestSubmit:
         assert cli.main(["submit", "--workdir", str(workdir), script]) == 0
         job_id = submitted_job_id(capsys)
         assert wait_until(
-            lambda: daemon.state.jobs[job_id].state.code == "CD", 5)
+            lambda: daemon.state.jobs[job_id].state.value == "CD", 5)
         assert (workdir / f"a.o{job_id}").read_text().strip() == str(workdir)
 
 
@@ -152,7 +152,7 @@ class TestStat:
         cli.main(["submit", script])
         capsys.readouterr()
         assert wait_until(
-            lambda: daemon.state.jobs[1].state.code == "R", 5)
+            lambda: daemon.state.jobs[1].state.value == "R", 5)
         assert cli.main(["stat"]) == 0
         lines = capsys.readouterr().out.splitlines()
         row = lines[1].split()

@@ -30,7 +30,7 @@ from miniq.daemon import Daemon, DaemonConfig, load_config, main
 from miniq.errors import BindFailed, ConfigError, JournalCorrupt
 from miniq.journal import EVENT_SESSION_CREATED, Journal, read_entries
 from miniq.runtime import DEFAULT_RING_CAPACITY, GRACE_SECONDS, READ_BYTES
-from miniq.sched import JobStatus, Node, Outcome, status_from_code
+from miniq.sched import JobStatus, Node, Outcome
 
 TOKEN = "hunter2"
 
@@ -182,6 +182,13 @@ class TestSubmit:
                      "invalid-request", id="command argument that is a number"),
         pytest.param({"type": "status", "state": ["R"]}, "invalid-request",
                      id="state filter that is a list"),
+        *[pytest.param({"type": "status", "state": state}, "invalid-request",
+                       id=f"state filter {state!r}") for state in ([], 0, False, "", {}, "XX")],
+        *[pytest.param({"type": "submit", "script": make_pbs_script("a", 1, 1, 60),
+                        "dialect": dialect}, "invalid-request", id=f"dialect {dialect!r}")
+          for dialect in ([], 0, False, "")],
+        pytest.param({"type": "submit", "script": make_pbs_script("a", 1, 1, 60),
+                      "strict": "no"}, "invalid-request", id="strict that is a string"),
         pytest.param({"type": ["status"]}, "unknown-request", id="request type that is a list"),
     ])
     def test_malformed_field_answered_and_connection_kept(self, daemon, tmp_path, request_,
@@ -391,7 +398,7 @@ class TestLifecycleOverWire:
                         {"job_id": 2}, {"job_id": 99}, {"job_id": [1]}]
             for extra in requests * 2:  # the second pass serves cached rows
                 line, attachment = daemon.handle_request({"type": "status", **extra})
-                states = {status_from_code(extra["state"])} if "state" in extra else None
+                states = {JobStatus(extra["state"])} if "state" in extra else None
                 rows = state.snapshot(100.0, states=states, job_id=extra.get("job_id"))
                 expected = protocol.ok({"rows": [row.to_dict() for row in rows]})
                 assert line == json.dumps(expected, separators=(",", ":")) + "\n", extra
@@ -512,7 +519,7 @@ class TestEndPath:
                      if e.event == "ended"]
             expected = {exits: "CD", late: "TO", cancelled: "CA", unspawnable: "F"}
             for job_id, code in expected.items():
-                assert jobs[job_id].state.code == code
+                assert jobs[job_id].state.value == code
                 assert jobs[job_id].proc is None
                 assert ended.count(job_id) == 1
             assert [proc for proc, _ in daemon._dying] == [procs[cancelled], procs[late]]
@@ -632,7 +639,7 @@ class TestOneClock:
             sessions = first.handle_request({"type": "session_list"})[0]["payload"]["sessions"]
         finally:
             first.shutdown()
-        assert [jobs[job_id].state.code for job_id in sorted(jobs)] \
+        assert [jobs[job_id].state.value for job_id in sorted(jobs)] \
             == ["CD", "TO", "CA", "F", "R", "CA"]
         entries = read_entries(config.journal_path)
         assert [(e.event, e.data.get("job_id", e.data.get("name")), e.at) for e in entries] \
@@ -712,7 +719,7 @@ class TestOneClock:
 
             assert wait_until(exited, 5)
             first.tick_once(clock.advance(1.5))  # late times out; wide takes every slot
-            assert [jobs[job_id].state.code for job_id in sorted(jobs)] \
+            assert [jobs[job_id].state.value for job_id in sorted(jobs)] \
                 == ["CD", "TO", "CA", "F", "R", "PD"]
         finally:
             first.shutdown()

@@ -75,6 +75,12 @@ PARITY_TABLE = [
                  id="job ended in a live state"),
     pytest.param(_SUBMIT_2 + _entry(3, "ended", job_id=1, state="XX"), ("corrupt", 3),
                  id="job ended in an unknown state"),
+    pytest.param(_SUBMIT_2 + _entry(3, "ended", job_id=1, state=["CD"]), ("corrupt", 3),
+                 id="job ended in a state that is a list"),
+    pytest.param(_SUBMIT_2 + _entry(3, "ended", job_id=1, state=None), ("corrupt", 3),
+                 id="job ended in a null state"),
+    pytest.param(_SUBMIT_2 + _entry(3, "ended", job_id=1, state="CD"), ("corrupt", 3),
+                 id="pending job ended completed"),
     pytest.param(_entry(2, "session_created", name=["a"]), ("corrupt", 2),
                  id="session name that is a list"),
     pytest.param(_line(2).replace(b'"at": 0.0', b'"at": "noon"'), ("corrupt", 2),

@@ -711,7 +711,7 @@ class TestTransition:
                     or (before_state is JobStatus.PENDING)
                 )
                 outcome = rng.choice(outcomes)
-                if before_state is JobStatus.PENDING and outcome.kind != "cancel":
+                if before_state is JobStatus.PENDING and outcome.state is not JobStatus.CANCELLED:
                     legal = False
                 try:
                     state.transition(job_id, outcome, now)
@@ -793,7 +793,8 @@ class TestOracleAgreement:
     """The production scheduler, driven event-by-event, must match the
     independent discrete-time reference on randomized workloads."""
 
-    def test_random_workloads_match_reference(self):
+    @pytest.mark.parametrize("backfill", [True, False], ids=["backfill", "fifo"])
+    def test_random_workloads_match_reference(self, backfill):
         rng = random.Random(4242)
         for _ in range(400):
             node_slots = [rng.randrange(1, 3) for _ in range(rng.randrange(1, 3))]
@@ -801,11 +802,12 @@ class TestOracleAgreement:
                 (rng.randrange(1, 3), rng.randrange(1, 3), rng.randrange(1, 6))
                 for _ in range(rng.randrange(1, 6))
             ]
-            expected = refsim.simulate(node_slots, jobs)
-            actual, _ = run_cluster(node_slots, jobs)
+            expected = refsim.simulate(node_slots, jobs, backfill=backfill)
+            actual, _ = run_cluster(node_slots, jobs, backfill=backfill)
             assert actual == expected, (node_slots, jobs)
 
-    def test_random_workloads_with_features_match_reference(self):
+    @pytest.mark.parametrize("backfill", [True, False], ids=["backfill", "fifo"])
+    def test_random_workloads_with_features_match_reference(self, backfill):
         rng = random.Random(77)
         feature_pool = [frozenset(), frozenset({"gpu"})]
         for _ in range(200):
@@ -817,8 +819,8 @@ class TestOracleAgreement:
                 for _ in range(rng.randrange(1, 6))
             ]
             job_feats = [rng.choice(feature_pool) for _ in jobs]
-            expected = refsim.simulate(node_slots, jobs, node_feats, job_feats)
-            actual, _ = run_cluster(node_slots, jobs, node_feats, job_feats)
+            expected = refsim.simulate(node_slots, jobs, node_feats, job_feats, backfill)
+            actual, _ = run_cluster(node_slots, jobs, node_feats, job_feats, backfill)
             assert actual == expected, (node_slots, node_feats, jobs, job_feats)
 
 
