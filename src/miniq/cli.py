@@ -19,8 +19,8 @@ import time
 from pathlib import Path
 
 from . import protocol
-from .errors import ScriptError
-from .jobspec import Dialect, parse_script, render_walltime
+from .errors import InvalidField, ProtocolError, ScriptError
+from .jobspec import Dialect, parse_script, read_fields, render_walltime
 from .protocol import DEFAULT_SERVER, TOKEN_ENV_VAR, read_message, send_message
 
 EXIT_OK = 0
@@ -74,7 +74,10 @@ class Client:
         self.reader = None
 
     def connect(self) -> None:
-        host, port = protocol.parse_address(self.address)
+        try:
+            host, port = protocol.parse_address(self.address)
+        except ProtocolError as exc:
+            raise CommandFailed(EXIT_CONN, str(exc)) from None
         try:
             self.sock = socket.create_connection((host, port), timeout=10)
         except OSError as exc:
@@ -112,37 +115,30 @@ class Client:
                     pass
 
 
-def _load_client_config() -> dict:
+def _load_client_config() -> list:
+    """The client config file's ``[server, token]``, None for each it does not give."""
     path = os.environ.get(CONFIG_ENV_VAR) or os.path.expanduser(DEFAULT_CONFIG_PATH)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        return doc if isinstance(doc, dict) else {}
     except (OSError, ValueError):
-        return {}
-
-
-def resolve_server(flag_value: str | None) -> str:
-    if flag_value:
-        return flag_value
-    env = os.environ.get(SERVER_ENV_VAR)
-    if env:
-        return env
-    return _load_client_config().get("server") or DEFAULT_SERVER
-
-
-def resolve_token(flag_value: str | None) -> str:
-    """Token precedence: flag, then environment, then client config file."""
-    token = flag_value or os.environ.get(TOKEN_ENV_VAR) or _load_client_config().get("token")
-    if not token:
-        raise CommandFailed(
-            EXIT_CONN, f"no auth token: pass --token or set {TOKEN_ENV_VAR}"
-        )
-    return token
+        return [None, None]
+    try:
+        return read_fields(doc, (("server", str, None), ("token", str, None)))
+    except InvalidField as exc:
+        raise CommandFailed(EXIT_CONN, f"client config {path}: {exc}") from None
 
 
 def _connect(args) -> Client:
-    client = Client(resolve_server(args.server), resolve_token(args.token))
+    """A connected client; server and token come from flags, else environment, else config."""
+    server = args.server or os.environ.get(SERVER_ENV_VAR)
+    token = args.token or os.environ.get(TOKEN_ENV_VAR)
+    if not (server and token):
+        config_server, config_token = _load_client_config()
+        server, token = server or config_server or DEFAULT_SERVER, token or config_token
+    if not token:
+        raise CommandFailed(EXIT_CONN, f"no auth token: pass --token or set {TOKEN_ENV_VAR}")
+    client = Client(server, token)
     client.connect()
     return client
 

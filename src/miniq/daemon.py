@@ -26,12 +26,13 @@ from . import protocol
 from .errors import (
     BindFailed,
     ConfigError,
+    InvalidField,
     JournalCorrupt,
     MiniqError,
     ProtocolError,
     ScriptError,
 )
-from .jobspec import Dialect, parse_script
+from .jobspec import REQUIRED, Dialect, parse_script, read_fields
 from .protocol import data_frame, end_frame, err, ok
 from .runtime import (
     SessionRegistry,
@@ -74,8 +75,9 @@ class DaemonConfig:
         ids = [node.id for node in nodes]
         if len(set(ids)) < len(ids):
             raise ConfigError(f"node ids must be unique, got {ids}")
-        if tick_interval_s < MIN_TICK_INTERVAL_S:
-            raise ConfigError(f"tick interval must be >= {MIN_TICK_INTERVAL_S} s")
+        if not MIN_TICK_INTERVAL_S <= tick_interval_s <= threading.TIMEOUT_MAX:  # not NaN either
+            raise ConfigError(f"tick interval must be {MIN_TICK_INTERVAL_S} to "
+                              f"{threading.TIMEOUT_MAX:g} s, got {tick_interval_s!r}")
         self.host = host
         self.port = port
         self.token = token
@@ -98,40 +100,40 @@ def load_config(path: str) -> DaemonConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-
-    base_dir = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p: str) -> str:
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
-
-    host, port = protocol.parse_address(doc.get("listen", protocol.DEFAULT_SERVER))
-    nodes = [_load_node(entry) for entry in doc.get("nodes", [])]
-    journal_path = doc.get("journal")
+    try:
+        listen, entries, journal_path, workdir, tick_interval_s = read_fields(doc, _CONFIG_FIELDS)
+        host, port = protocol.parse_address(listen)
+        nodes = []
+        for entry in entries:
+            node_id, slots, features = read_fields(entry, _NODE_FIELDS)
+            if slots < 1:
+                raise ConfigError(f"node {node_id}: slots must be >= 1, got {slots}")
+            nodes.append(Node(node_id, slots, frozenset(features)))
+    except (InvalidField, ProtocolError) as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
     if not journal_path:
         raise ConfigError("config needs a journal path")
+    base_dir = os.path.dirname(os.path.abspath(path))  # join keeps an absolute path as it is
     return DaemonConfig(
         host=host,
         port=port,
         token=doc.get("token") or os.environ.get(protocol.TOKEN_ENV_VAR, ""),
         nodes=nodes,
-        journal_path=resolve(journal_path),
-        workdir_root=resolve(doc.get("workdir", ".")),
-        tick_interval_s=float(doc.get("tick_interval_s", DEFAULT_TICK_INTERVAL_S)),
+        journal_path=os.path.join(base_dir, journal_path),
+        workdir_root=os.path.join(base_dir, workdir),
+        tick_interval_s=tick_interval_s,
     )
 
 
-def _load_node(entry) -> Node:
-    """A node from its config entry: a string ``id``, an integer ``slots``
-    of at least 1 and an optional list of feature tags."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-        raise ConfigError(f"node entry {entry!r} needs a string id")
-    slots = entry.get("slots")
-    if type(slots) is not int or slots < 1:
-        raise ConfigError(f"node {entry['id']}: slots must be an integer >= 1, got {slots!r}")
-    features = entry.get("features", [])
-    if not isinstance(features, list) or not all(isinstance(tag, str) for tag in features):
-        raise ConfigError(f"node {entry['id']}: features must be a list of strings")
-    return Node(id=entry["id"], slots_total=slots, features=frozenset(features))
+# The fields of the config file (beside its token), a node entry and each request.
+_CONFIG_FIELDS = (("listen", str, protocol.DEFAULT_SERVER), ("nodes", list[dict], ()),
+                  ("journal", str, REQUIRED), ("workdir", str, "."),
+                  ("tick_interval_s", float, DEFAULT_TICK_INTERVAL_S))
+_NODE_FIELDS = (("id", str, REQUIRED), ("slots", int, REQUIRED), ("features", list[str], ()))
+_SUBMIT_FIELDS = (("script", str, REQUIRED), ("submit_dir", str, REQUIRED),
+                  ("script_name", str, ""), ("dialect", Dialect, None), ("strict", bool, False))
+_SESSION_CREATE_FIELDS = (("name", str, REQUIRED), ("command", list[str], REQUIRED))
+_NAME_FIELDS = (("name", str, REQUIRED),)
 
 
 class Daemon:
@@ -264,31 +266,10 @@ class Daemon:
             return err(exc.code, str(exc), **extra), None
 
     def _handle_submit(self, message: dict):
-        script = message.get("script")
-        submit_dir = message.get("submit_dir")
-        script_name = message.get("script_name", "")
-        if not all(isinstance(field, str) for field in (script, submit_dir, script_name)):
-            return err("invalid-request",
-                       "submit needs script text, submit_dir and a string script_name"), None
+        script, submit_dir, script_name, dialect, strict = read_fields(message, _SUBMIT_FIELDS)
         if not os.path.isabs(submit_dir):
             return err("invalid-request", "submit_dir must be an absolute path"), None
-        # An absent field or null means "not given"; any other value must
-        # have the field's type.
-        dialect = message.get("dialect")
-        if dialect is not None:
-            try:
-                dialect = Dialect(dialect)
-            except ValueError:
-                return err("invalid-request", f"unknown dialect {dialect!r}"), None
-        strict = message.get("strict")
-        if strict is not None and type(strict) is not bool:
-            return err("invalid-request", f"strict must be true or false, not {strict!r}"), None
-        parsed = parse_script(
-            script,
-            dialect=dialect,
-            default_name=script_name or "job",
-            strict=bool(strict),
-        )
+        parsed = parse_script(script, dialect=dialect, default_name=script_name, strict=strict)
         with self._mu:
             now = self._clock()
             job_id = self.state.submit(parsed.spec, submit_dir, now)
@@ -296,13 +277,9 @@ class Daemon:
         return ok({"job_id": job_id, "warnings": parsed.warnings}), None
 
     def _handle_status(self, message: dict):
-        states = None
-        if message.get("state") is not None:
-            try:
-                states = {JobStatus(message["state"])}
-            except ValueError:
-                return err("invalid-request", f"unknown state code {message['state']!r}"), None
-        job_id = message.get("job_id")
+        (state,) = read_fields(message, (("state", JobStatus, None),))
+        states = None if state is None else {state}
+        job_id = message.get("job_id")  # any value: snapshot matches only an int id
         with self._mu:
             rows = self.state.snapshot(self._clock(), states=states, job_id=job_id)
         # Encoded outside the lock; the same bytes as send_message would
@@ -311,9 +288,7 @@ class Daemon:
         return '{"ok":true,"code":"ok","payload":{"rows":[' + texts + "]}}\n", None
 
     def _handle_cancel(self, message: dict):
-        job_id = message.get("job_id")
-        if type(job_id) is not int:  # not a bool, which is an int subclass
-            return err("invalid-request", "cancel needs a job_id"), None
+        (job_id,) = read_fields(message, (("job_id", int, REQUIRED),))
         with self._mu:
             now = self._clock()
             proc = self._end(job_id, Outcome.cancel(), now)
@@ -323,11 +298,7 @@ class Daemon:
         return ok({"job_id": job_id, "state": JobStatus.CANCELLED.value}), None
 
     def _handle_session_create(self, message: dict):
-        name = message.get("name")
-        command = message.get("command")
-        if not (isinstance(name, str) and isinstance(command, list)
-                and all(isinstance(arg, str) for arg in command)):
-            return err("invalid-request", "session_create needs a name and a list of strings"), None
+        name, command = read_fields(message, _SESSION_CREATE_FIELDS)
         with self._mu:
             now = self._clock()
             self.sessions.create(name, command, now)
@@ -338,9 +309,7 @@ class Daemon:
         return ok({"sessions": self.sessions.rows()}), None
 
     def _handle_session_kill(self, message: dict):
-        name = message.get("name")
-        if not isinstance(name, str):
-            return err("invalid-request", "session_kill needs a name"), None
+        (name,) = read_fields(message, _NAME_FIELDS)
         with self._mu:
             now = self._clock()
             proc, unjournaled = self.sessions.kill(name)
@@ -351,9 +320,7 @@ class Daemon:
         return ok({"name": name}), None
 
     def _handle_attach(self, message: dict):
-        name = message.get("name")
-        if not isinstance(name, str):
-            return err("invalid-request", "attach needs a session name"), None
+        (name,) = read_fields(message, _NAME_FIELDS)
         attachment = self.sessions.attach(name)
         return ok({"name": name, "truncated": attachment.truncated}), attachment
 

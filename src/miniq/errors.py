@@ -121,3 +121,9 @@ class ProtocolError(MiniqError):
 
 class ConfigError(MiniqError):
     code = "config-error"
+
+
+class InvalidField(MiniqError):
+    """A missing or mistyped field of a request, config, journal entry or spec."""
+
+    code = "invalid-request"

@@ -10,13 +10,16 @@ shebang and blank lines) are preserved byte-for-byte as the job body.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from collections import namedtuple
+from types import GenericAlias
 
 from .errors import (
     BadName,
     BadOutputTemplate,
     BadTimeFormat,
+    InvalidField,
     InvalidResource,
     MalformedDirective,
     MissingWalltime,
@@ -118,41 +121,76 @@ class JobSpec(namedtuple("JobSpec", "name resources walltime_s output body diale
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
-        """The inverse of ``to_dict``, for a spec read back as JSON.
-
-        Each field must have the JSON type ``to_dict`` writes: a missing field
-        raises KeyError, a mistyped one TypeError, and a value the constructors
-        refuse raises the same ScriptError as at submission.
-        """
-        body = expect_type(d["body"], list, "body")
-        for line in body:
-            expect_type(line, str, "body line")
-        stderr_template = d.get("stderr_template")
-        if stderr_template is not None:
-            expect_type(stderr_template, str, "stderr_template")
-        return cls(
-            name=expect_type(d["name"], str, "name"),
-            resources=ResourceRequest(
-                nodes=expect_type(d["nodes"], int, "nodes"),
-                slots_per_node=expect_type(d["slots_per_node"], int, "slots_per_node"),
-                features=frozenset(expect_type(d.get("features", []), list, "features")),
-            ),
-            walltime_s=expect_type(d["walltime_s"], int, "walltime_s"),
-            output=OutputPolicy(
-                stdout_template=expect_type(d["stdout_template"], str, "stdout_template"),
-                stderr_template=stderr_template,
-                merge_stderr=expect_type(d["merge_stderr"], bool, "merge_stderr"),
-            ),
-            body=tuple(body),
-            dialect=Dialect(d["dialect"]),
-        )
+        """The inverse of ``to_dict``, for a spec read back as JSON: a field
+        without the JSON type ``to_dict`` writes raises InvalidField, and a
+        value the constructors refuse the same ScriptError as at submission."""
+        (name, nodes, slots_per_node, features, walltime_s, stdout_template, stderr_template,
+         merge_stderr, body, dialect) = read_fields(d, _SPEC_FIELDS)
+        return cls(name, ResourceRequest(nodes, slots_per_node, frozenset(features)), walltime_s,
+                   OutputPolicy(stdout_template, stderr_template, merge_stderr), tuple(body),
+                   dialect)
 
 
-def expect_type(value, kind: type, what: str):
-    """``value`` if its type is exactly ``kind`` (so a bool is not an int)."""
-    if type(value) is not kind:
-        raise TypeError(f"{what} must be {kind.__name__}, got {value!r}")
-    return value
+REQUIRED = object()  # the default of a field that must be given
+
+
+def read_fields(doc, table) -> list:
+    """The JSON object ``doc``'s fields, one per ``(name, kind, default)`` row
+    of ``table``, in table order; InvalidField for a field that breaks its row.
+
+    An absent field and a ``null`` one are the same: ``default``, refused if
+    that is REQUIRED.  Any other value's type must be exactly ``kind``, so a
+    bool is never an int; but a ``float`` field takes an int or a finite
+    float, an enum kind one of its string values (as the member), and
+    ``list[str]``, ``list[dict]`` or ``dict[str, int]`` checks each item.
+    """
+    if type(doc) is not dict:
+        raise InvalidField(f"expected a JSON object, got {doc!r}")
+    values = []
+    for name, kind, default in table:
+        value = doc.get(name)
+        if type(value) is kind and kind is not float:
+            values.append(value)
+        elif value is None:
+            if default is REQUIRED:
+                raise InvalidField(f"no field {name!r}")
+            values.append(default)
+        else:
+            values.append(_widen(name, kind, value))
+    return values
+
+
+def _widen(name: str, kind, value):
+    """``value`` as a field of ``kind`` that its type alone does not settle, or InvalidField."""
+    meta = type(kind)
+    if meta is GenericAlias:  # list[str], list[dict] or dict[str, int]
+        if type(value) is kind.__origin__:
+            item = kind.__args__[-1]
+            for v in value.values() if type(value) is dict else value:
+                if type(v) is not item:
+                    break
+            else:
+                return value
+        what = kind
+    elif meta is enum.EnumMeta:
+        member = kind._value2member_map_.get(value) if type(value) is str else None
+        if member is not None:
+            return member
+        what = "one of " + ", ".join(map(repr, kind._value2member_map_))
+    elif kind is float:
+        if type(value) is int or (type(value) is float and math.isfinite(value)):
+            return value
+        what = "a finite number"
+    else:
+        what = kind.__name__
+    raise InvalidField(f"{name} must be {what}, got {value!r}")
+
+
+_SPEC_FIELDS = (("name", str, REQUIRED), ("nodes", int, REQUIRED),
+                ("slots_per_node", int, REQUIRED), ("features", list[str], ()),
+                ("walltime_s", int, REQUIRED), ("stdout_template", str, REQUIRED),
+                ("stderr_template", str, None), ("merge_stderr", bool, REQUIRED),
+                ("body", list[str], REQUIRED), ("dialect", Dialect, REQUIRED))
 
 
 class ParsedScript:

@@ -10,24 +10,29 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections import namedtuple
 
-from .errors import InvalidTransition, JournalCorrupt, NoSuchJob, ScriptError
-from .jobspec import JobSpec, expect_type
-from .sched import ClusterState, JobRecord, JobStatus, Node, Outcome
+from .errors import InvalidField, JournalCorrupt, MiniqError, NoSuchJob
+from .jobspec import REQUIRED, JobSpec, read_fields
+from .sched import TERMINAL_STATES, ClusterState, JobRecord, JobStatus, Node, Outcome
 
 EVENT_SUBMITTED = "submitted"
 EVENT_STARTED = "started"
 EVENT_ENDED = "ended"
 EVENT_SESSION_CREATED = "session_created"
 EVENT_SESSION_ENDED = "session_ended"
+_MAX_TIME = sys.float_info.max  # compared, never converted: float() overflows on a 400-digit int
 
-_KNOWN_EVENTS = {
-    EVENT_SUBMITTED,
-    EVENT_STARTED,
-    EVENT_ENDED,
-    EVENT_SESSION_CREATED,
-    EVENT_SESSION_ENDED,
+# The fields of each event's entry beside its seq, at and event.
+_EVENT_FIELDS = {
+    EVENT_SUBMITTED: (("job_id", int, REQUIRED), ("spec", dict, REQUIRED),
+                      ("submit_dir", str, REQUIRED)),
+    EVENT_STARTED: (("job_id", int, REQUIRED), ("allocation", dict[str, int], REQUIRED)),
+    EVENT_ENDED: (("job_id", int, REQUIRED), ("state", JobStatus, REQUIRED),
+                  ("exit_code", int, None), ("reason", str, None)),
+    EVENT_SESSION_CREATED: (("name", str, REQUIRED),),
+    EVENT_SESSION_ENDED: (("name", str, REQUIRED),),
 }
 
 
@@ -117,11 +122,11 @@ def _entry_from_doc(doc, index: int) -> JournalEntry:
     if seq != expected or type(seq) is not int:
         raise JournalCorrupt(f"journal gap: expected seq {expected}, found {seq}", seq=expected)
     event = doc.pop("event", None)
-    if type(event) is not str or event not in _KNOWN_EVENTS:
+    if type(event) is not str or event not in _EVENT_FIELDS:
         raise JournalCorrupt(f"unknown journal event {event!r} at seq {seq}", seq=seq)
     at = doc.pop("at", 0.0)
-    if type(at) is not float and type(at) is not int:
-        raise JournalCorrupt(f"journal entry {seq} has a non-numeric time {at!r}", seq=seq)
+    if (type(at) is not float and type(at) is not int) or not -_MAX_TIME <= at <= _MAX_TIME:
+        raise JournalCorrupt(f"journal entry {seq}: time {at!r} is not a finite float", seq=seq)
     return JournalEntry(seq=seq, at=at, event=event, data=doc)
 
 
@@ -191,11 +196,9 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
     for entry in entries:
         try:
             _replay(entry, cluster, sessions_open)
-        except (KeyError, TypeError, ValueError, ScriptError, NoSuchJob,
-                InvalidTransition) as exc:
-            reason = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
+        except (MiniqError, ValueError) as exc:
             raise JournalCorrupt(
-                f"malformed {entry.event} entry at seq {entry.seq}: {reason}", seq=entry.seq
+                f"malformed {entry.event} entry at seq {entry.seq}: {exc}", seq=entry.seq
             ) from None
 
     # Anything still Running in the replay has no daemon watching it: a
@@ -221,30 +224,29 @@ def recover(path: str, nodes: list[Node]) -> RecoveredState:
 
 def _replay(entry: JournalEntry, cluster: ClusterState, sessions_open: dict[str, float]) -> None:
     """Apply one entry through the ``ClusterState`` lifecycle the daemon used.
-    A missing field raises KeyError, and a mistyped or impossible one
-    TypeError, ValueError, the spec's ScriptError, or the lifecycle's
-    NoSuchJob or InvalidTransition."""
-    data = entry.data
-    if entry.event in (EVENT_SESSION_CREATED, EVENT_SESSION_ENDED):
-        name = expect_type(data["name"], str, "name")
-        if entry.event == EVENT_SESSION_CREATED:
-            sessions_open[name] = entry.at
-        else:
-            sessions_open.pop(name, None)
-        return
-    job_id = expect_type(data["job_id"], int, "job_id")
-    if entry.event == EVENT_SUBMITTED:
-        cluster.enqueue(JobRecord(
-            id=job_id,
-            spec=JobSpec.from_dict(expect_type(data["spec"], dict, "spec")),
-            submit_dir=expect_type(data["submit_dir"], str, "submit_dir"),
-            submit_time=entry.at,
-        ))
-    elif entry.event == EVENT_STARTED:
+    A missing, mistyped or impossible field raises InvalidField or the spec's
+    ScriptError, and an entry the lifecycle refuses ValueError, NoSuchJob or
+    InvalidTransition."""
+    event = entry.event
+    fields = read_fields(entry.data, _EVENT_FIELDS[event])
+    if event == EVENT_SUBMITTED:
+        job_id, spec, submit_dir = fields
+        cluster.enqueue(JobRecord(job_id, JobSpec.from_dict(spec), submit_dir,
+                                  submit_time=entry.at))
+    elif event == EVENT_STARTED:
+        job_id, allocation = fields
         rec = cluster.jobs.get(job_id)
         if rec is None:
             raise NoSuchJob(f"no such job {job_id}")
-        cluster._start(rec, expect_type(data["allocation"], dict, "allocation"), entry.at)
-    else:  # EVENT_ENDED
-        outcome = Outcome.ending_in(data["state"], data.get("exit_code"), data.get("reason"))
-        cluster.transition(job_id, outcome, entry.at)
+        if not allocation or min(allocation.values()) < 1:
+            raise InvalidField(f"allocation must bind at least one slot per node, got {allocation}")
+        cluster._start(rec, allocation, entry.at)
+    elif event == EVENT_ENDED:
+        job_id, state, exit_code, reason = fields
+        if state not in TERMINAL_STATES:
+            raise InvalidField(f"no outcome ends a job in state {state.value!r}")
+        cluster.transition(job_id, Outcome(state, exit_code, reason), entry.at)
+    elif event == EVENT_SESSION_CREATED:
+        sessions_open[fields[0]] = entry.at
+    else:  # EVENT_SESSION_ENDED
+        sessions_open.pop(fields[0], None)

@@ -75,12 +75,11 @@ def end_frame(reason: str) -> dict:
 
 
 def parse_address(text: str) -> tuple[str, int]:
-    """Parse ``host:port`` (host and port optional, default DEFAULT_SERVER)."""
-    if ":" in text:
-        host, _, port_text = text.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise ProtocolError(f"bad port in address {text!r}") from None
-        return host or DEFAULT_HOST, port
-    return text or DEFAULT_HOST, DEFAULT_PORT
+    """Parse ``host:port`` (both optional, default DEFAULT_SERVER); the port must be 0-65535."""
+    if ":" not in text:
+        return text or DEFAULT_HOST, DEFAULT_PORT
+    host, _, port_text = text.rpartition(":")
+    port = int(port_text) if port_text.isdecimal() and len(port_text) <= 5 else -1
+    if not 0 <= port <= 65535:
+        raise ProtocolError(f"bad port in address {text!r}")
+    return host or DEFAULT_HOST, port

@@ -74,15 +74,6 @@ class Outcome(namedtuple("Outcome", "state exit_code reason", defaults=(None, No
     def daemon_failure(cls, reason: str) -> "Outcome":
         return cls(JobStatus.FAILED, reason=reason)
 
-    @classmethod
-    def ending_in(cls, code: str, exit_code: int | None, reason: str | None) -> "Outcome":
-        """The outcome that ended a job in the final state ``code``, as its
-        ``ended`` entry records it."""
-        state = JobStatus(code)  # ValueError for any other value
-        if state not in TERMINAL_STATES:
-            raise ValueError(f"no outcome ends a job in state {code!r}")
-        return cls(state, exit_code, reason)
-
 
 class JobRecord:
     __slots__ = ("id", "spec", "submit_dir", "state", "submit_time", "start_time",

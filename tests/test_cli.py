@@ -120,6 +120,20 @@ class TestSubmit:
         script = write_script(tmp_path, "a.pbs", make_pbs_script("a", 1, 1, 60))
         assert cli.main(["submit", script]) == 2
 
+    def test_server_with_a_bad_port_exits_2(self, capsys):
+        assert cli.main(["--server", "127.0.0.1:abc", "stat"]) == 2
+        assert capsys.readouterr().err == "miniq: bad port in address '127.0.0.1:abc'\n"
+
+    def test_client_config_server_that_is_not_a_string_exits_2(self, tmp_path, capsys,
+                                                               monkeypatch):
+        config = tmp_path / "client.json"
+        config.write_text(json.dumps({"server": 7075}))
+        monkeypatch.setenv("MINIQ_CONFIG", str(config))
+        monkeypatch.delenv("MINIQ_SERVER")
+        assert cli.main(["stat"]) == 2
+        assert capsys.readouterr().err == (
+            f"miniq: client config {config}: server must be str, got 7075\n")
+
     def test_forced_dialect_for_bare_script(self, tmp_path, capsys):
         script = write_script(tmp_path, "bare.sh", "#!/bin/bash\necho hi\n")
         assert cli.main(["submit", script]) == 1  # no directives, no flag

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import json
+import math
 import os
 import random
 import signal
@@ -26,7 +27,7 @@ from conftest import (
 from miniq import journal as journal_mod
 from miniq import protocol
 from miniq.cli import Client, CommandFailed
-from miniq.daemon import Daemon, DaemonConfig, load_config, main
+from miniq.daemon import DEFAULT_TICK_INTERVAL_S, Daemon, DaemonConfig, load_config, main
 from miniq.errors import BindFailed, ConfigError, JournalCorrupt
 from miniq.journal import EVENT_SESSION_CREATED, Journal, read_entries
 from miniq.runtime import DEFAULT_RING_CAPACITY, GRACE_SECONDS, READ_BYTES
@@ -189,6 +190,11 @@ class TestSubmit:
           for dialect in ([], 0, False, "")],
         pytest.param({"type": "submit", "script": make_pbs_script("a", 1, 1, 60),
                       "strict": "no"}, "invalid-request", id="strict that is a string"),
+        pytest.param({"type": "session_create", "name": "s", "command": None},
+                     "invalid-request", id="null command"),
+        pytest.param({"type": "session_create", "name": 5, "command": ["true"]},
+                     "invalid-request", id="session name that is a number"),
+        pytest.param({"type": "cancel", "job_id": None}, "invalid-request", id="null job id"),
         pytest.param({"type": ["status"]}, "unknown-request", id="request type that is a list"),
     ])
     def test_malformed_field_answered_and_connection_kept(self, daemon, tmp_path, request_,
@@ -214,6 +220,15 @@ class TestSubmit:
         client.close()
         assert wait_until(lambda: seen, 5)
         assert [str(args.exc_value) for args in seen] == ["handler fault"]
+
+    def test_null_script_name_is_not_given(self, daemon, tmp_path):
+        client = connect(daemon)
+        response = submit_script(client, "#!/bin/bash\n#PBS -l walltime=00:01:00\ntrue\n",
+                                 str(tmp_path), script_name=None)
+        assert response["ok"], response
+        rows = client.request({"type": "status"})["payload"]["rows"]
+        assert [row["name"] for row in rows] == ["job"]
+        client.close()
 
     def test_script_name_that_is_not_a_string_is_not_journaled(self, tmp_path):
         # A spec named by a list would be refused by replay, and the daemon
@@ -1150,6 +1165,9 @@ class TestServeLifecycle:
             Daemon(config)
 
 
+GOOD_CONFIG = {"token": TOKEN, "journal": "journal.ndjson", "nodes": [{"id": "n1", "slots": 1}]}
+
+
 def write_config(tmp_path, nodes) -> str:
     path = tmp_path / "miniqd.json"
     path.write_text(json.dumps({"token": TOKEN, "journal": "journal.ndjson", "nodes": nodes}))
@@ -1180,6 +1198,36 @@ class TestLoadConfig:
             load_config(path)
         assert main(["--config", path]) == 1
         assert capsys.readouterr().err.startswith("miniqd: ")
+
+    @pytest.mark.parametrize("doc", [
+        *[pytest.param({**GOOD_CONFIG, "tick_interval_s": tick}, id=f"tick_interval_s {name}")
+          for tick, name in ((math.nan, "nan"), (math.inf, "inf"), ("fast", "'fast'"),
+                             (True, "True"), (1e300, "1e+300"), (10 ** 400, "10**400"))],
+        *[pytest.param({**GOOD_CONFIG, field: value}, id=f"{field} {value!r}")
+          for field, value in (("journal", 5), ("listen", 7), ("nodes", 3), ("workdir", 5),
+                               ("listen", "127.0.0.1:abc"), ("listen", "127.0.0.1:99999"))],
+        pytest.param([], id="top-level list"),
+    ])
+    def test_bad_config_value_refused(self, tmp_path, capsys, doc):
+        # Only load_config and main run: a NaN or infinite tick is never
+        # given to a started daemon.
+        path = tmp_path / "miniqd.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+        assert main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("miniqd: ") and err.count("\n") == 1, err
+
+    def test_null_tick_interval_is_the_default(self, tmp_path):
+        path = tmp_path / "miniqd.json"
+        path.write_text(json.dumps({**GOOD_CONFIG, "tick_interval_s": None}))
+        assert load_config(str(path)).tick_interval_s == DEFAULT_TICK_INTERVAL_S
+
+    @pytest.mark.parametrize("tick", [math.nan, math.inf, 1e300])
+    def test_config_built_directly_refuses_a_tick_a_timer_cannot_take(self, tmp_path, tick):
+        with pytest.raises(ConfigError):
+            daemon_config(tmp_path, tick=tick)
 
     @pytest.mark.parametrize("token", [12345, ["hunter2"]], ids=["number", "list"])
     def test_token_that_is_not_a_string_refused(self, tmp_path, capsys, token):

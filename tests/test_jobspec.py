@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -12,6 +13,7 @@ from miniq.errors import (
     BadName,
     BadOutputTemplate,
     BadTimeFormat,
+    InvalidField,
     InvalidResource,
     MalformedDirective,
     MissingWalltime,
@@ -19,6 +21,7 @@ from miniq.errors import (
     NoDirectives,
 )
 from miniq.jobspec import (
+    REQUIRED,
     Dialect,
     detect_dialect,
     expand_output_template,
@@ -26,6 +29,7 @@ from miniq.jobspec import (
     parse_directives,
     parse_script,
     parse_walltime,
+    read_fields,
     render_walltime,
 )
 
@@ -279,3 +283,30 @@ class TestJobEnvironment:
         assert env["SLURM_SUBMIT_DIR"] == "/home/u/proj"
         assert env["PBS_JOBID"] == env["SLURM_JOB_ID"] == "5"
         assert env["PBS_JOBNAME"] == env["SLURM_JOB_NAME"] == "automl_job"
+
+
+class TestReadFields:
+    TABLE = (("n", int, REQUIRED), ("x", float, 0.5), ("d", Dialect, None),
+             ("tags", list[str], ()), ("alloc", dict[str, int], None))
+
+    @pytest.mark.parametrize("doc, values", [
+        pytest.param({"n": 3}, [3, 0.5, None, (), None], id="absent"),
+        pytest.param({"n": 3, "x": None, "d": None, "tags": None, "alloc": None},
+                     [3, 0.5, None, (), None], id="null is absent"),
+        pytest.param({"n": 3, "x": 2, "d": "slurm", "tags": ["a"], "alloc": {"n1": 2}},
+                     [3, 2, Dialect.SLURM, ["a"], {"n1": 2}], id="given"),
+    ])
+    def test_values(self, doc, values):
+        assert read_fields(doc, self.TABLE) == values
+
+    @pytest.mark.parametrize("doc", [
+        {}, {"n": None}, {"n": True}, {"n": 1.0}, {"n": "1"},
+        {"n": 1, "x": math.nan}, {"n": 1, "x": -math.inf}, {"n": 1, "x": True}, {"n": 1, "x": "1"},
+        {"n": 1, "d": "PBS"}, {"n": 1, "d": 5}, {"n": 1, "d": ["pbs"]},
+        {"n": 1, "tags": ["a", 1]}, {"n": 1, "tags": "a"}, {"n": 1, "tags": {"a": "b"}},
+        {"n": 1, "alloc": {"n1": True}}, {"n": 1, "alloc": {"n1": 1.0}}, {"n": 1, "alloc": [1]},
+        [], None, "n",
+    ], ids=repr)
+    def test_refused(self, doc):
+        with pytest.raises(InvalidField):
+            read_fields(doc, self.TABLE)

@@ -85,6 +85,19 @@ PARITY_TABLE = [
                  id="session name that is a list"),
     pytest.param(_line(2).replace(b'"at": 0.0', b'"at": "noon"'), ("corrupt", 2),
                  id="time that is a string"),
+    pytest.param(_line(2).replace(b'"at": 0.0', b'"at": NaN'), ("corrupt", 2),
+                 id="time that is NaN"),
+    pytest.param(_line(2).replace(b'"at": 0.0', b'"at": 1' + b"0" * 400), ("corrupt", 2),
+                 id="time that is a 401-digit int"),
+    *[pytest.param(_SUBMIT_2 + _entry(3, "started", job_id=1, allocation=allocation),
+                   ("corrupt", 3), id=f"allocation {allocation}")
+      for allocation in ({"n1": 1.5}, {"n1": True}, {"n1": -3}, {})],
+    *[pytest.param(_SUBMIT_2 + _entry(3, "ended", job_id=1, state="CA", **fields),
+                   ("corrupt", 3), id=f"cancel with {fields}")
+      for fields in ({"exit_code": "zero"}, {"exit_code": True}, {"reason": 5})],
+    # A null field is an absent one.
+    pytest.param(_entry(2, "submitted", job_id=1, spec={**_SPEC, "features": None},
+                        submit_dir="/tmp"), ("ok", 2), id="null features"),
 ]
 
 

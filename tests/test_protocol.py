@@ -37,3 +37,18 @@ def test_data_frame_line_is_the_json_encoding(size):
 def test_nesting_too_deep_to_decode_is_a_protocol_error():
     with pytest.raises(ProtocolError, match="not valid JSON"):
         protocol.read_message(io.BytesIO(b"[" * 100000 + b"\n"))
+
+
+@pytest.mark.parametrize("text, address", [
+    ("", ("127.0.0.1", 7075)),
+    ("example:0", ("example", 0)),
+    (":65535", ("127.0.0.1", 65535)),
+])
+def test_parse_address(text, address):
+    assert protocol.parse_address(text) == address
+
+
+@pytest.mark.parametrize("text", ["h:abc", "h:-1", "h:65536", "h:99999"])
+def test_port_outside_its_range_is_a_protocol_error(text):
+    with pytest.raises(ProtocolError, match="bad port"):
+        protocol.parse_address(text)
