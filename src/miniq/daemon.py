@@ -194,7 +194,7 @@ class Daemon:
             except OSError:
                 pass
         with self._mu:
-            running = [(rec.proc, 0.0) for rec in self.state.running.values()
+            running = [(rec.proc, 0.0) for _, _, rec in self.state.releases
                        if rec.proc is not None]
             self._dying = kill_after_grace(self._dying + running, math.inf)
         self.sessions.shutdown()
@@ -208,19 +208,19 @@ class Daemon:
             try:
                 self.tick_once()
             except Exception:
-                if self._stop.is_set():
-                    return  # racing a shutdown; the journal may be closed
                 sys.excepthook(*sys.exc_info())
 
     def tick_once(self, now: float | None = None) -> None:
         """Reap exits, enforce walltimes, journal session ends, start jobs.
         ``now`` defaults to the clock, read once the lock is held."""
         with self._mu:
+            if self._stop.is_set():
+                return  # shutdown may have killed every job; none may start after
             if now is None:
                 now = self._clock()
-            for job_id, code in collect_exits(self.state.running.values()):
+            for job_id, code in collect_exits(rec for _, _, rec in self.state.releases):
                 self._end(job_id, Outcome.exit(code), now)
-            for job_id in poll_walltime(self.state.running.values(), now):
+            for job_id in poll_walltime((rec for _, _, rec in self.state.releases), now):
                 self._dying.append((self._end(job_id, Outcome.timeout(), now), now))
             self._dying = kill_after_grace(self._dying, now)
 
@@ -475,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
         signal.signal(signal.SIGTERM, on_signal)
         signal.signal(signal.SIGINT, on_signal)
         daemon.start()
-    except (ConfigError, BindFailed, JournalCorrupt) as exc:
+    except (ConfigError, BindFailed, JournalCorrupt, OSError) as exc:
         print(f"miniqd: {exc}", file=sys.stderr)
         return 1
     host, port = daemon.bound_address

@@ -32,6 +32,7 @@ SLURM_PREFIX = "#SBATCH "
 
 MAX_NAME_LEN = 64
 DEFAULT_WALLTIME_S = 3600
+MAX_WALLTIME_S = 10**15  # "unlimited" (--time=99999999) fits; now + it keeps whole seconds
 DEFAULT_JOB_NAME = "job"
 
 # Default output file name templates when the script names none.
@@ -101,8 +102,8 @@ class JobSpec(namedtuple("JobSpec", "name resources walltime_s output body diale
     def __new__(cls, name: str, resources: ResourceRequest, walltime_s: int,
                 output: OutputPolicy, body: tuple[str, ...], dialect: Dialect):
         validate_job_name(name)
-        if walltime_s <= 0:
-            raise BadTimeFormat("walltime must be positive")
+        if not 0 < walltime_s <= MAX_WALLTIME_S:
+            raise BadTimeFormat(f"walltime must be 1 to {MAX_WALLTIME_S} s")
         return tuple.__new__(cls, (name, resources, walltime_s, output, body, dialect))
 
     def to_dict(self) -> dict:
@@ -475,8 +476,6 @@ def normalize(
         if strict:
             raise MissingWalltime("no walltime directive (strict mode)")
         walltime = DEFAULT_WALLTIME_S
-    elif walltime <= 0:
-        raise BadTimeFormat("walltime must be positive", walltime_line)
 
     resources = ResourceRequest(
         nodes=nodes if nodes is not None else 1,
@@ -494,14 +493,17 @@ def normalize(
         # a separate --error file is not modeled.
         output = OutputPolicy(stdout_template or SLURM_DEFAULT_STDOUT, None, merge_stderr=True)
 
-    return JobSpec(
-        name=name,
-        resources=resources,
-        walltime_s=walltime,
-        output=output,
-        body=tuple(body),
-        dialect=dialect,
-    )
+    try:
+        return JobSpec(
+            name=name,
+            resources=resources,
+            walltime_s=walltime,
+            output=output,
+            body=tuple(body),
+            dialect=dialect,
+        )
+    except BadTimeFormat as exc:  # the walltime's range, checked by the spec
+        raise BadTimeFormat(str(exc), walltime_line) from None
 
 
 def parse_script(

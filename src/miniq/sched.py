@@ -228,11 +228,11 @@ def shadow_time(head_request: ResourceRequest, state: "ClusterState") -> tuple[f
     ready = len(eligible) - len(short)
     when = state.clock
     if ready < needed:
-        for end, _, allocation in state.releases:
+        for end, _, rec in state.releases:
             if ready >= needed and end != when:
                 break  # every release at the shadow instant has been applied
             when = end
-            for node_id, freed in allocation.items():
+            for node_id, freed in rec.allocation.items():
                 if node_id in short:
                     free = short[node_id] + freed
                     if free >= slots:
@@ -255,9 +255,9 @@ class ClusterState:
         self.nodes = nodes
         self.queue: list[int] = []
         self.jobs: dict[int, JobRecord] = {}
-        self.running: dict[int, JobRecord] = {}  # the Running subset of jobs
-        # (start_time + walltime_s, id, allocation) per Running job, ascending.
-        self.releases: list[tuple[float, int, Allocation]] = []
+        # (start_time + walltime_s, id, record) per Running job, ascending:
+        # the one index of Running jobs.
+        self.releases: list[tuple[float, int, JobRecord]] = []
         # The last queued id examined by the last pass, if no job examined
         # up to it can start until a job ends: the pass started nothing, or
         # it examined the whole queue and no start took slots on a node a
@@ -410,8 +410,7 @@ class ClusterState:
         rec.state = JobStatus.RUNNING
         rec.start_time = now
         rec.allocation = allocation
-        self.running[rec.id] = rec
-        bisect.insort(self.releases, (now + rec.spec.walltime_s, rec.id, allocation))
+        bisect.insort(self.releases, (now + rec.spec.walltime_s, rec.id, rec))
         self._settled = None
         return StartEvent(job_id=rec.id, allocation=allocation)
 
@@ -441,7 +440,6 @@ class ClusterState:
         # Every outcome may end a Running job; a Pending one accepts only a cancel.
         if rec.state is JobStatus.RUNNING:
             self._bind(rec.allocation, 1)
-            del self.running[job_id]
             releases = self.releases
             del releases[bisect.bisect_left(releases, (rec.start_time + rec.spec.walltime_s,
                                                        job_id))]
@@ -488,24 +486,20 @@ class ClusterState:
     def assert_conservation(self) -> None:
         """slots_total - slots_free on each node equals the slots bound to it
         by Running jobs, and ``_free`` holds every node's slots_free in
-        ascending order; ``running`` holds exactly the Running records, and
-        ``releases`` each of them once, in end order, with its allocation; jobs
-        iterate in ascending id order; queue holds exactly the Pending ids in
-        ascending order."""
+        ascending order; ``releases`` holds each Running job once, in end
+        order, with the very record ``jobs`` holds; jobs iterate in ascending
+        id order; queue holds exactly the Pending ids in ascending order."""
         ids = list(self.jobs)
         if ids != sorted(ids):
             raise AssertionError(f"jobs iterate as {ids}, not in ascending id order")
-        running = {jid: rec for jid, rec in self.jobs.items() if rec.state is JobStatus.RUNNING}
-        if self.running != running:
-            raise AssertionError(
-                f"running index {sorted(self.running)} != Running ids {sorted(running)}"
-            )
-        releases = sorted((rec.start_time + rec.spec.walltime_s, rec.id, rec.allocation)
-                          for rec in running.values())
-        if self.releases != releases:
-            raise AssertionError(f"releases {self.releases} != Running jobs by end {releases}")
+        running = [rec for rec in self.jobs.values() if rec.state is JobStatus.RUNNING]
+        # Records compared by identity, as (end, id, id(record)).
+        releases = [(end, job_id, id(rec)) for end, job_id, rec in self.releases]
+        ends = sorted((rec.start_time + rec.spec.walltime_s, rec.id, id(rec)) for rec in running)
+        if releases != ends:
+            raise AssertionError(f"releases {releases} != Running jobs by end {ends}")
         bound: dict[str, int] = {node.id: 0 for node in self.nodes}
-        for rec in running.values():
+        for rec in running:
             for node_id, slots in rec.allocation.items():
                 bound[node_id] += slots
         for node in self.nodes:

@@ -155,6 +155,20 @@ class TestSubmit:
         assert response["payload"]["line"] == 2
         client.close()
 
+    def test_walltime_past_the_bound_is_refused_and_the_tick_goes_on(self, daemon, tmp_path):
+        client = connect(daemon)
+        script = "#!/bin/bash\n#PBS -l walltime=" + "9" * 400 + ":00:00\ntrue\n"
+        response = submit_script(client, script, str(tmp_path))
+        assert response["ok"] is False
+        assert response["code"] == "bad-time-format"
+        assert response["payload"]["line"] == 2
+        job_id = submit_script(client, make_pbs_script("a", 1, 1, 60, body="true"),
+                               str(tmp_path))["payload"]["job_id"]
+        daemon.tick_once()
+        assert daemon.state.jobs[job_id].state is not JobStatus.PENDING
+        assert wait_until(lambda: job_state(client, job_id) == "CD", 5)
+        client.close()
+
     def test_unsatisfiable_rejected(self, daemon, tmp_path):
         client = connect(daemon)
         script = make_pbs_script("big", 5, 1, 60)
@@ -1296,6 +1310,28 @@ class TestMainArguments:
         assert "\nminiqd: error: " in err
 
 
+    @pytest.mark.parametrize("make, fields", [
+        pytest.param(lambda path: path.mkdir(), {"journal": "taken"},
+                     id="journal that is a directory"),
+        pytest.param(lambda path: path.write_text(""), {"workdir": "taken"},
+                     id="workdir that is a file"),
+    ])
+    def test_startup_os_error_prints_one_line_and_returns_1(self, tmp_path, capsys, make,
+                                                            fields):
+        make(tmp_path / "taken")
+        path = tmp_path / "miniqd.json"
+        path.write_text(json.dumps({**GOOD_CONFIG, "listen": "127.0.0.1:0", **fields}))
+        handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
+        try:
+            assert main(["--config", str(path)]) == 1
+        finally:
+            for signum, handler in handlers.items():
+                signal.signal(signum, handler)
+        err = capsys.readouterr().err
+        assert err.startswith("miniqd: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 class TestTickLoop:
     def test_failed_tick_is_printed_and_the_loop_goes_on(self, tmp_path, capfd):
         daemon = Daemon(daemon_config(tmp_path, tick=0.01))
@@ -1317,3 +1353,43 @@ class TestTickLoop:
         err = capfd.readouterr().err
         assert "Traceback (most recent call last):" in err
         assert "RuntimeError: tick failed" in err
+
+    def test_tick_that_waited_out_the_shutdown_sweep_starts_nothing(self, tmp_path,
+                                                                     monkeypatch):
+        # The tick leaves its wait just before the stop and waits for the
+        # lock while shutdown kills every running job; here it gets the lock
+        # only once shutdown has moved on to the sessions.  A job it started
+        # then would outlive the daemon.
+        daemon = Daemon(daemon_config(tmp_path, tick=0.01))
+        entered, go, ticked = threading.Event(), threading.Event(), threading.Event()
+        tick_once = daemon.tick_once
+
+        def parked_tick():
+            entered.set()
+            go.wait(5)  # a shutdown that waited for this tick goes on after the timeout
+            tick_once()
+            ticked.set()
+
+        sessions_shutdown = daemon.sessions.shutdown
+
+        def shutdown_sessions():
+            go.set()
+            ticked.wait(5)
+            sessions_shutdown()
+
+        daemon.tick_once = parked_tick
+        monkeypatch.setattr(daemon.sessions, "shutdown", shutdown_sessions)
+        response, _ = daemon.handle_request({
+            "type": "submit", "submit_dir": str(tmp_path),
+            "script": make_pbs_script("late", 1, 1, 600, body="sleep 30")})
+        daemon.start()
+        assert entered.wait(5)
+        daemon.shutdown()
+        assert ticked.is_set()
+        proc = daemon.state.jobs[response["payload"]["job_id"]].proc
+        try:
+            assert proc is None or not process_alive(proc.pid)
+        finally:
+            if proc is not None and proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()

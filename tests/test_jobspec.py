@@ -21,8 +21,10 @@ from miniq.errors import (
     NoDirectives,
 )
 from miniq.jobspec import (
+    MAX_WALLTIME_S,
     REQUIRED,
     Dialect,
+    JobSpec,
     detect_dialect,
     expand_output_template,
     job_environment,
@@ -195,6 +197,20 @@ class TestNormalize:
     def test_zero_walltime_rejected(self):
         with pytest.raises(BadTimeFormat):
             parse_script("#PBS -N a\n#PBS -l walltime=0\n")
+
+    def test_walltime_bound(self):
+        # Up to MAX_WALLTIME_S parses, "unlimited" spellings included; past
+        # it the directive's line is named, and the spec itself refuses it.
+        top = f"#PBS -N a\n#PBS -l walltime={render_walltime(MAX_WALLTIME_S)}\n"
+        assert parse_script(top).spec.walltime_s == MAX_WALLTIME_S
+        assert parse_script("#SBATCH --time=99999999\n").spec.walltime_s == 5_999_999_940
+        for walltime in (render_walltime(MAX_WALLTIME_S + 1), "9" * 400 + ":00:00"):
+            with pytest.raises(BadTimeFormat) as excinfo:
+                parse_script(f"#PBS -N a\n#PBS -l walltime={walltime}\n#PBS -j oe\n")
+            assert excinfo.value.line_no == 2
+        spec = parse_script(top).spec
+        with pytest.raises(BadTimeFormat):
+            JobSpec(**{**spec._asdict(), "walltime_s": MAX_WALLTIME_S + 1})
 
     def test_bad_name_rejected(self):
         with pytest.raises(BadName):

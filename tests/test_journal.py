@@ -68,6 +68,8 @@ PARITY_TABLE = [
                         submit_dir="/tmp"), ("corrupt", 2), id="body line that is a number"),
     pytest.param(_entry(2, "submitted", job_id=1, spec={**_SPEC, "walltime_s": 1.5},
                         submit_dir="/tmp"), ("corrupt", 2), id="fractional walltime"),
+    pytest.param(_entry(2, "submitted", job_id=1, spec={**_SPEC, "walltime_s": int("9" * 400)},
+                        submit_dir="/tmp"), ("corrupt", 2), id="400-digit walltime"),
     pytest.param(_SUBMIT_2 + _entry(3, "started", job_id=1, allocation={"n1": 1})
                  + _entry(4, "started", job_id=1, allocation={"n2": 1}),
                  ("corrupt", 4), id="job started twice"),

@@ -174,7 +174,7 @@ class TestShadowTime:
             state.submit(make_spec(nodes=1, slots=2, walltime_s=30), "/tmp", 0)
             state.submit(make_spec(nodes=2, slots=1, walltime_s=70), "/tmp", 0)
             state.tick(0)
-            assert len(state.running) == 2
+            assert len(state.releases) == 2
             return state
 
         head = ResourceRequest(nodes=3, slots_per_node=2)
@@ -222,14 +222,14 @@ class TestShadowTime:
                     shadow_time(head, state)
                 seen["never fits"] += 1
                 continue
-            assert shadow_time(head, state) == expected, (state.nodes, state.running, head)
+            assert shadow_time(head, state) == expected, (state.nodes, state.releases, head)
             when = expected[0]
             seen["fits now" if when == state.clock else
                  "overdue" if when < state.clock else "later"] += 1
             seen["multi-node"] += head.nodes > 1
             seen["features"] += bool(head.features)
             seen["tied"] += sum(rec.start_time + rec.spec.walltime_s == when
-                                for rec in state.running.values()) > 1
+                                for _, _, rec in state.releases) > 1
         assert min(seen[case] for case in ("never fits", "fits now", "overdue", "later",
                                            "multi-node", "features", "tied")) >= 50, seen
 
@@ -272,8 +272,10 @@ class TestFreeCount:
                 state.submit(spec, "/tmp", now)
         elif roll < 0.7:
             state.tick(now)
-        elif roll < 0.9 and state.running:
-            state.transition(rng.choice(list(state.running)),
+        elif roll < 0.9 and state.releases:
+            # In start order, as the Running jobs started.
+            started = sorted((rec.start_time, job_id) for _, job_id, rec in state.releases)
+            state.transition(rng.choice(started)[1],
                              rng.choice([Outcome.exit(0), Outcome.timeout(), Outcome.cancel()]),
                              now)
         elif state.queue:
@@ -506,7 +508,7 @@ class TestSettledPass:
         state, head = TestTick._blocked_head_state()
         held = state.submit(make_spec(nodes=1, slots=1, walltime_s=70), "/tmp", 40)
         assert state.tick(40) == []
-        (blocker,) = state.running
+        ((_, blocker, _),) = state.releases
         return state, blocker, head, held
 
     @staticmethod
@@ -952,6 +954,22 @@ class TestConservation:
                         [Outcome.exit(0), Outcome.timeout(), Outcome.cancel()]
                     )
                     state.transition(job_id, outcome, now)
+            state.assert_conservation()
+
+    def test_releases_that_disagree_with_jobs_are_caught(self):
+        state = make_cluster(8)
+        for _ in range(2):
+            state.submit(make_spec(), "/tmp", 0)
+        state.tick(0)
+        state.assert_conservation()
+        end, job_id, rec = state.releases[0]
+        twin = copy.copy(rec)
+        assert twin == rec and twin is not rec
+        state.releases[0] = (end, job_id, twin)
+        with pytest.raises(AssertionError, match="Running jobs by end"):
+            state.assert_conservation()
+        del state.releases[0]
+        with pytest.raises(AssertionError, match="Running jobs by end"):
             state.assert_conservation()
 
     def test_jobs_out_of_id_order_are_caught(self):
