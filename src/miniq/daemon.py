@@ -463,6 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(f"{USAGE}\nminiqd: error: expected --config PATH, got {args}", file=sys.stderr)
         return 2
+    daemon, previous = None, {}
     try:
         config = load_config(config_path)
         daemon = Daemon(config)
@@ -472,10 +473,15 @@ def main(argv: list[str] | None = None) -> int:
         def on_signal(signum, frame):
             daemon._stop.set()
 
-        signal.signal(signal.SIGTERM, on_signal)
-        signal.signal(signal.SIGINT, on_signal)
+        previous = {signum: signal.signal(signum, on_signal)
+                    for signum in (signal.SIGTERM, signal.SIGINT)}
         daemon.start()
     except (ConfigError, BindFailed, JournalCorrupt, OSError) as exc:
+        # A failed start leaves no handler installed and no file open.
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+        if daemon is not None:
+            daemon.shutdown()
         print(f"miniqd: {exc}", file=sys.stderr)
         return 1
     host, port = daemon.bound_address

@@ -34,24 +34,42 @@ DEFAULT_RING_CAPACITY = 1024 * 1024
 READ_BYTES = 65536  # the most a session's pump or an attachment reads at once
 
 
-def _signal_group(proc: Popen, signum: int) -> None:
-    """Signal the process group a job or session leads (each starts its own).
-    Only while the leader is unreaped, or in the call that reaps it: after
-    that, its pid may name someone else's group."""
+def _spawn(args: list[str], **kwargs) -> Popen:
+    """Start a job or session leader in a session of its own, so its pid
+    names its process group, with stdin from /dev/null."""
     try:
-        os.killpg(proc.pid, signum)
-    except (ProcessLookupError, PermissionError):
-        pass
+        return Popen(args, stdin=subprocess.DEVNULL, start_new_session=True, **kwargs)
+    except (OSError, ValueError) as exc:
+        raise SpawnFailed(str(exc)) from exc
 
 
 def _signal_unreaped(proc: Popen, signum: int) -> None:
-    """Signal the group unless its leader is reaped already.  The check and
-    the signal hold the Popen's own reaping lock, so a poll() or wait() on
-    another thread (a session's pump, the tick) cannot reap the leader
+    """Signal the process group a leader leads, unless the leader is reaped
+    already: after that, its pid may name someone else's group.  The check
+    and the signal hold the Popen's own reaping lock, so a poll() or wait()
+    on another thread (a session's pump, the tick) cannot reap the leader
     between them."""
     with proc._waitpid_lock:
         if proc.returncode is None:
-            _signal_group(proc, signum)
+            try:
+                os.killpg(proc.pid, signum)
+            except (ProcessLookupError, PermissionError):
+                pass
+
+
+def _reap(proc: Popen, block: bool = False) -> int | None:
+    """The leader's exit status once it has exited, or None while it runs
+    (waiting for the exit if ``block``).  The exit is seen without reaping
+    the leader: while it is a zombie its pid still names its group, so the
+    group is SIGKILLed first and nothing it left running outlives it."""
+    options = os.WEXITED | os.WNOWAIT | (0 if block else os.WNOHANG)
+    try:
+        if os.waitid(os.P_PID, proc.pid, options) is None:
+            return None
+    except ChildProcessError:
+        pass  # reaped already, by another thread's _reap
+    _signal_unreaped(proc, signal.SIGKILL)
+    return proc.wait()
 
 
 def terminate(proc: Popen) -> None:
@@ -62,15 +80,13 @@ def terminate(proc: Popen) -> None:
 def kill_after_grace(dying: list[tuple[Popen, float]], now: float) -> list[tuple[Popen, float]]:
     """SIGKILL the group of each (leader, SIGTERM time) entry ``GRACE_SECONDS``
     after its SIGTERM, then reap the leader; returns the entries still
-    waiting.  A group is swept even if its leader died on SIGTERM: only this
-    reaps a listed job's leader, and a session's pump thread sweeps the group
-    before it reaps its own, so a group whose leader is reaped is left alone.
-    ``now=math.inf`` kills them all."""
+    waiting.  A group is swept even if its leader died on SIGTERM, since its
+    children may ignore it.  ``now=math.inf`` kills them all."""
     waiting = []
     for proc, term_sent_at in dying:
         if now >= term_sent_at + GRACE_SECONDS:
             _signal_unreaped(proc, signal.SIGKILL)
-            if proc.poll() is not None:
+            if _reap(proc) is not None:
                 continue
         waiting.append((proc, term_sent_at))
     return waiting
@@ -121,17 +137,8 @@ def launch_job(spec: JobSpec, job_id: int, submit_dir: str) -> Popen:
             raise SpawnFailed(f"cannot open stderr sink: {exc}") from exc
         stderr_target = stderr_file
     try:
-        return Popen(
-            ["/bin/sh", "-c", script],
-            cwd=submit_dir,
-            env=env,
-            stdout=stdout_file,
-            stderr=stderr_target,
-            stdin=subprocess.DEVNULL,
-            start_new_session=True,
-        )
-    except (OSError, ValueError) as exc:
-        raise SpawnFailed(str(exc)) from exc
+        return _spawn(["/bin/sh", "-c", script], cwd=submit_dir, env=env,
+                      stdout=stdout_file, stderr=stderr_target)
     finally:
         stdout_file.close()
         if stderr_file is not None:
@@ -152,15 +159,13 @@ def poll_walltime(recs: Iterable[JobRecord], now: float) -> list[int]:
 
 def collect_exits(recs: Iterable[JobRecord]) -> list[tuple[int, int]]:
     """(job_id, exit_code) for running jobs whose process has finished on its
-    own.  A leader reaped here has its group SIGKILLed in the same call, so
+    own.  Each leader's group is SIGKILLed before the leader is reaped, so
     nothing the job left in the background outlives it."""
     finished = []
     for rec in recs:
-        proc = rec.proc
-        if proc.returncode is None and proc.poll() is not None:
-            _signal_group(proc, signal.SIGKILL)
-        if proc.returncode is not None:
-            finished.append((rec.id, proc.returncode))
+        code = _reap(rec.proc)
+        if code is not None:
+            finished.append((rec.id, code))
     return finished
 
 
@@ -284,18 +289,8 @@ class SessionRegistry:
             if existing is not None and existing.live:
                 raise DuplicateSession(f"session {name!r} already exists")
             session = Session(name, now, self._lock, self._ring_capacity)
-            try:
-                session.proc = Popen(
-                    command,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.STDOUT,
-                    stdin=subprocess.DEVNULL,
-                    cwd=self._cwd,
-                    start_new_session=True,
-                    bufsize=0,
-                )
-            except (OSError, ValueError) as exc:
-                raise SpawnFailed(str(exc)) from exc
+            session.proc = _spawn(command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                                  cwd=self._cwd, bufsize=0)
             self._sessions[name] = session
         pump = threading.Thread(
             target=self._pump, args=(session,), name=f"session-{name}", daemon=True
@@ -317,16 +312,11 @@ class SessionRegistry:
                 changed.wait_for(lambda: all(a.cursor >= oldest_kept for a in session.attachments))
                 ring.append(chunk)
                 changed.notify_all()
-        # Wait for the leader without reaping it: while it is a zombie its
-        # group id is still ours to signal, so whatever it left running is
-        # swept before the leader is reaped.  A leader reaped already means
-        # kill_after_grace swept the group and reaped it.
-        try:
-            os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
-        except ChildProcessError:
-            pass
-        _signal_unreaped(proc, signal.SIGKILL)
-        proc.wait()
+        # Whether the leader ended on its own or on a kill, its group is
+        # swept before it is reaped.  An ended session stays registered, so
+        # its pipe is closed here or its descriptor stays open.
+        _reap(proc, block=True)
+        proc.stdout.close()
         with changed:
             session.live = False
             reason = "exit" if self._sessions.get(session.name) is session else "killed"
@@ -390,7 +380,7 @@ class SessionRegistry:
             session = self._sessions.pop(name, None)
             if session is None:
                 raise UnknownSession(f"no session named {name!r}")
-            if not session.live or session.proc is None:
+            if not session.live:
                 return None, session.lost or session in self._ended_unreported
             proc = session.proc
         terminate(proc)
@@ -416,5 +406,5 @@ class SessionRegistry:
         """Kill every live session process (daemon-owned children do not
         outlive the daemon)."""
         with self._lock:
-            live = [(s.proc, 0.0) for s in self._sessions.values() if s.live and s.proc is not None]
+            live = [(s.proc, 0.0) for s in self._sessions.values() if s.live]
         kill_after_grace(live, math.inf)

@@ -24,6 +24,7 @@ from conftest import (
     process_alive,
     wait_until,
 )
+from miniq import daemon as daemon_mod
 from miniq import journal as journal_mod
 from miniq import protocol
 from miniq.cli import Client, CommandFailed
@@ -1330,6 +1331,32 @@ class TestMainArguments:
         err = capsys.readouterr().err
         assert err.startswith("miniqd: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+    def test_failed_start_restores_the_handlers_and_closes_the_journal(self, tmp_path,
+                                                                        capsys, monkeypatch):
+        (tmp_path / "taken").write_text("")
+        path = tmp_path / "miniqd.json"
+        path.write_text(json.dumps({**GOOD_CONFIG, "listen": "127.0.0.1:0",
+                                    "workdir": "taken"}))
+        daemons = []
+
+        class RecordedDaemon(Daemon):
+            def __init__(self, config):
+                super().__init__(config)
+                daemons.append(self)
+
+        monkeypatch.setattr(daemon_mod, "Daemon", RecordedDaemon)
+        handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
+        try:
+            assert main(["--config", str(path)]) == 1
+            after = {signum: signal.getsignal(signum) for signum in handlers}
+        finally:
+            for signum, handler in handlers.items():
+                signal.signal(signum, handler)
+        assert after == handlers
+        (daemon,) = daemons
+        assert daemon.journal._fh.closed
+        assert capsys.readouterr().err.startswith("miniqd: ")
 
 
 class TestTickLoop:

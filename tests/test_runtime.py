@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import signal
 import sys
 import threading
@@ -127,6 +128,30 @@ class TestWalltime:
     def test_collect_exits_kills_background_children(self, tmp_path):
         spec, job = launch(tmp_path, "sleep 30 &\necho $! > child.pid\n")
         assert wait_until(lambda: collect_exits([job]), 5) == [(1, 0)]
+        child = int((tmp_path / "child.pid").read_text())
+        assert wait_until(lambda: not process_alive(child), 2)
+
+    def test_collect_exits_kills_the_group_while_its_leader_is_a_zombie(self, tmp_path,
+                                                                        monkeypatch):
+        # Once the leader is reaped its pid may name someone else's group,
+        # so the one SIGKILL must reach the group while the leader is a zombie.
+        spec, job = launch(tmp_path, "sleep 30 &\necho $! > child.pid\n")
+        exited = os.WEXITED | os.WNOWAIT | os.WNOHANG  # seen, not reaped
+        assert wait_until(lambda: os.waitid(os.P_PID, job.proc.pid, exited), 5)
+        killpg = os.killpg
+        sent = []
+
+        def recording_killpg(pgid, signum):
+            try:
+                with open(f"/proc/{pgid}/stat") as fh:
+                    sent.append((signum, fh.read().rsplit(")", 1)[1].split()[0]))
+            except FileNotFoundError:
+                sent.append((signum, None))  # reaped: the pid names no process
+            killpg(pgid, signum)
+
+        monkeypatch.setattr(os, "killpg", recording_killpg)
+        assert collect_exits([job]) == [(1, 0)]
+        assert sent == [(signal.SIGKILL, "Z")]
         child = int((tmp_path / "child.pid").read_text())
         assert wait_until(lambda: not process_alive(child), 2)
 
@@ -342,6 +367,19 @@ class TestSessions:
         assert wait_until(lambda: not session.live, 5)
         child = int(session.ring.snapshot())
         assert wait_until(lambda: not process_alive(child), 2)
+
+    def test_ended_sessions_close_their_pipes(self):
+        # An ended session stays registered, but its output pipe is closed.
+        # Earlier tests' sessions may still be ending and closing theirs.
+        def pumps():
+            return [t for t in threading.enumerate() if t.name.startswith("session-")]
+
+        assert wait_until(lambda: not pumps(), 10), pumps()
+        registry = SessionRegistry()
+        before = len(os.listdir("/proc/self/fd"))
+        sessions = [registry.create(f"brief{i}", ["true"], now=0.0) for i in range(20)]
+        assert wait_until(lambda: not any(session.live for session in sessions), 10)
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_drain_ended_reports_natural_exits(self):
         registry = SessionRegistry()
