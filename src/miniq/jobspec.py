@@ -51,6 +51,11 @@ class Dialect(enum.Enum):
     SLURM = "slurm"
 
 
+# The members as module globals for the parser: on Python 3.11, reading one
+# off the class goes through EnumType's attribute hook, several times slower.
+_PBS, _SLURM = Dialect.PBS, Dialect.SLURM
+
+
 class Directive(namedtuple("Directive", "key value line_no raw", defaults=("",))):
     """One scheduler instruction extracted from a script line.
 
@@ -221,26 +226,23 @@ def validate_output_template(template: str) -> None:
         raise BadOutputTemplate(f"unsupported placeholder in output template {template!r}")
 
 
-def _split_lines(script_text: str) -> list[str]:
-    # CRLF is accepted and normalized to LF.
-    return script_text.replace("\r\n", "\n").split("\n")
-
-
 def detect_dialect(script_text: str) -> Dialect:
     """Decide which directive family a script uses.
 
     PBS iff at least one line starts with ``#PBS `` and none with
-    ``#SBATCH ``; symmetric for SLURM.
+    ``#SBATCH ``; symmetric for SLURM.  Only ``\\n`` ends a line, so a line
+    starts with a prefix exactly when ``"\\n" + script_text`` holds
+    ``"\\n" + prefix``.
     """
-    lines = _split_lines(script_text)
-    has_pbs = any(line.startswith(PBS_PREFIX) for line in lines)
-    has_slurm = any(line.startswith(SLURM_PREFIX) for line in lines)
+    text = "\n" + script_text
+    has_pbs = "\n" + PBS_PREFIX in text
+    has_slurm = "\n" + SLURM_PREFIX in text
     if has_pbs and has_slurm:
         raise MixedDialects("script mixes #PBS and #SBATCH directives")
     if has_pbs:
-        return Dialect.PBS
+        return _PBS
     if has_slurm:
-        return Dialect.SLURM
+        return _SLURM
     raise NoDirectives("script contains no #PBS or #SBATCH lines")
 
 
@@ -249,54 +251,41 @@ def parse_directives(script_text: str, dialect: Dialect) -> tuple[list[Directive
 
     Every line starting with the dialect prefix becomes one or more
     Directives (PBS ``-l`` lists split on commas); all other lines go to the
-    body in their original order.
+    body in their original order.  CRLF is accepted and normalized to LF.
     """
-    prefix = PBS_PREFIX if dialect is Dialect.PBS else SLURM_PREFIX
+    pbs = dialect is _PBS
+    prefix = PBS_PREFIX if pbs else SLURM_PREFIX
+    cut = len(prefix)
     directives: list[Directive] = []
     body: list[str] = []
-    for line_no, line in enumerate(_split_lines(script_text), start=1):
+    # Directives are built by tuple.__new__, which skips the Python-level
+    # __new__ that namedtuple generates.
+    for line_no, line in enumerate(script_text.replace("\r\n", "\n").split("\n"), 1):
         if not line.startswith(prefix):
             body.append(line)
             continue
-        rest = line[len(prefix):].strip()
-        if dialect is Dialect.PBS:
-            directives.extend(_parse_pbs_directive(rest, line_no, line))
-        else:
-            directives.append(_parse_slurm_directive(rest, line_no, line))
+        if pbs:  # "-key value", or "-l item,item"
+            parts = line[cut:].split(None, 1)
+            key = parts[0] if parts else ""
+            value = parts[1].rstrip() if len(parts) > 1 else ""
+            if key[:1] != "-" or len(key) < 2:
+                raise MalformedDirective(f"cannot parse PBS directive {line!r}", line_no)
+            if key != "-l":
+                directives.append(tuple.__new__(Directive, (key[1:], value, line_no, line)))
+            elif not value:
+                raise MalformedDirective("-l directive with no resource list", line_no)
+            else:
+                for item in value.split(","):
+                    directives.append(tuple.__new__(Directive, ("l", item.strip(), line_no, line)))
+        else:  # "--key=value" or "--key value"
+            rest = line[cut:].strip()
+            key, eq, value = rest[2:].partition("=")
+            if not eq:  # split at the first run of whitespace
+                key, value = (key.split(None, 1) + ["", ""])[:2]
+            if not key or not rest.startswith("--"):
+                raise MalformedDirective(f"cannot parse SLURM directive {line!r}", line_no)
+            directives.append(tuple.__new__(Directive, (key, value.strip(), line_no, line)))
     return directives, body
-
-
-def _parse_pbs_directive(rest: str, line_no: int, raw: str) -> list[Directive]:
-    if not rest.startswith("-") or len(rest) < 2:
-        raise MalformedDirective(f"cannot parse PBS directive {raw!r}", line_no)
-    parts = rest.split(None, 1)
-    key = parts[0][1:]
-    value = parts[1].strip() if len(parts) > 1 else ""
-    if not key:
-        raise MalformedDirective(f"cannot parse PBS directive {raw!r}", line_no)
-    if key == "l":
-        if not value:
-            raise MalformedDirective("-l directive with no resource list", line_no)
-        return [
-            Directive(key="l", value=item.strip(), line_no=line_no, raw=raw)
-            for item in value.split(",")
-        ]
-    return [Directive(key=key, value=value, line_no=line_no, raw=raw)]
-
-
-def _parse_slurm_directive(rest: str, line_no: int, raw: str) -> Directive:
-    if not rest.startswith("--"):
-        raise MalformedDirective(f"cannot parse SLURM directive {raw!r}", line_no)
-    body = rest[2:]
-    if "=" in body:
-        key, value = body.split("=", 1)
-    else:
-        parts = body.split(None, 1)
-        key = parts[0] if parts else ""
-        value = parts[1].strip() if len(parts) > 1 else ""
-    if not key:
-        raise MalformedDirective(f"cannot parse SLURM directive {raw!r}", line_no)
-    return Directive(key=key, value=value.strip(), line_no=line_no, raw=raw)
 
 
 def parse_walltime(text: str) -> int:
@@ -318,20 +307,15 @@ def parse_walltime(text: str) -> int:
         if clock.count(":") != 2:
             raise BadTimeFormat(f"day form must be D-HH:MM:SS, got {text!r}")
     fields = clock.split(":")
-    if any(not f.isdigit() for f in fields):
+    # Every field is digits exactly when none is empty and their join is digits.
+    if "" in fields or not clock.replace(":", "").isdigit():
         raise BadTimeFormat(f"non-numeric field in walltime {text!r}")
-    values = [int(f) for f in fields]
-    if len(fields) == 1:
-        if days:
-            raise BadTimeFormat(f"day form must be D-HH:MM:SS, got {text!r}")
+    values = list(map(int, fields))
+    if len(values) == 1:  # a day count comes only with HH:MM:SS
         return values[0] * 60  # bare integer means minutes
-    if len(fields) == 2:
-        minutes, seconds = values
-        hours = 0
-    elif len(fields) == 3:
-        hours, minutes, seconds = values
-    else:
+    if len(values) > 3:
         raise BadTimeFormat(f"too many fields in walltime {text!r}")
+    hours, minutes, seconds = values if len(values) == 3 else (0, *values)
     if minutes >= 60 or seconds >= 60:
         raise BadTimeFormat(f"minutes and seconds must be < 60 in {text!r}")
     return ((days * 24 + hours) * 60 + minutes) * 60 + seconds
@@ -360,22 +344,32 @@ def _parse_feature(tag: str, line_no: int) -> str:
     return tag
 
 
-def _parse_pbs_nodes(value: str, line_no: int) -> tuple[int, int | None, set[str]]:
-    """Parse a PBS node spec like ``1:ppn=8`` or ``2:ppn=4:gpu``."""
+def _parse_pbs_nodes(value: str, line_no: int, slots: int, features: set[str]) -> tuple[int, int]:
+    """Parse a PBS node spec like ``1:ppn=8`` or ``2:ppn=4:gpu`` into (nodes,
+    slots per node), ``slots`` unless a ppn names it; tags go to ``features``."""
     segments = value.split(":")
     nodes = _parse_count(segments[0], "nodes", line_no)
-    slots: int | None = None
-    features: set[str] = set()
     for segment in segments[1:]:
-        if "=" in segment:
-            seg_key, seg_value = segment.split("=", 1)
-            if seg_key == "ppn":
-                slots = _parse_count(seg_value, "ppn", line_no)
-            else:
-                raise InvalidResource(f"unsupported node property {segment!r}", line_no)
+        seg_key, eq, seg_value = segment.partition("=")
+        if seg_key == "ppn" and eq:
+            slots = _parse_count(seg_value, "ppn", line_no)
+        elif eq:
+            raise InvalidResource(f"unsupported node property {segment!r}", line_no)
         elif segment:
             features.add(_parse_feature(segment, line_no))
-    return nodes, slots, features
+    return nodes, slots
+
+
+# The output policies of scripts that name no output file, built once.
+_PBS_SPLIT_OUTPUT = OutputPolicy(PBS_DEFAULT_STDOUT, PBS_DEFAULT_STDERR)
+_PBS_MERGED_OUTPUT = OutputPolicy(PBS_DEFAULT_STDOUT, None, True)
+_SLURM_DEFAULT_OUTPUT = OutputPolicy(SLURM_DEFAULT_STDOUT, None, True)
+
+
+def _warn(warnings: list[str], strict: bool, message: str, line_no: int) -> None:
+    if strict:
+        raise MalformedDirective(message, line_no)
+    warnings.append(f"line {line_no}: {message}")
 
 
 def normalize(
@@ -396,73 +390,60 @@ def normalize(
     error instead.
     """
     sink = warnings if warnings is not None else []
-
-    def warn(message: str, line_no: int) -> None:
-        if strict:
-            raise MalformedDirective(message, line_no)
-        sink.append(f"line {line_no}: {message}")
-
+    pbs = dialect is _PBS
     name: str | None = None
     name_line = 0
-    nodes: int | None = None
-    slots: int | None = None
+    nodes = slots = 1
     features: set[str] = set()
     walltime: int | None = None
     walltime_line = 0
     merge = False
-    stdout_template: str | None = None
+    stdout_template = ""
 
-    for d in directives:
-        if dialect is Dialect.PBS:
-            if d.key == "N":
-                name, name_line = d.value, d.line_no
-            elif d.key == "l":
-                if "=" not in d.value:
-                    warn(f"ignoring resource item {d.value!r}", d.line_no)
-                    continue
-                res_key, res_value = d.value.split("=", 1)
-                if res_key == "nodes":
-                    nodes, node_slots, node_features = _parse_pbs_nodes(res_value, d.line_no)
-                    if node_slots is not None:
-                        slots = node_slots
-                    features |= node_features
-                elif res_key == "walltime":
+    for key, value, line_no, _ in directives:
+        if pbs:
+            if key == "N":
+                name, name_line = value, line_no
+            elif key == "l":
+                res_key, eq, res_value = value.partition("=")
+                if res_key == "nodes" and eq:
+                    nodes, slots = _parse_pbs_nodes(res_value, line_no, slots, features)
+                elif res_key == "walltime" and eq:
                     try:
-                        walltime, walltime_line = parse_walltime(res_value), d.line_no
+                        walltime, walltime_line = parse_walltime(res_value), line_no
                     except BadTimeFormat as exc:
-                        raise BadTimeFormat(str(exc), d.line_no) from None
+                        raise BadTimeFormat(str(exc), line_no) from None
                 else:
-                    warn(f"ignoring resource item {d.value!r}", d.line_no)
-            elif d.key == "j":
-                if d.value == "oe":
+                    _warn(sink, strict, f"ignoring resource item {value!r}", line_no)
+            elif key == "j":
+                if value == "oe":
                     merge = True
                 else:
-                    warn(f"ignoring join mode {d.value!r}", d.line_no)
+                    _warn(sink, strict, f"ignoring join mode {value!r}", line_no)
             else:
-                warn(f"ignoring unknown directive -{d.key}", d.line_no)
+                _warn(sink, strict, f"ignoring unknown directive -{key}", line_no)
+        elif key == "job-name":
+            name, name_line = value, line_no
+        elif key == "nodes":
+            nodes = _parse_count(value, "nodes", line_no)
+        elif key == "ntasks-per-node":
+            slots = _parse_count(value, "ntasks-per-node", line_no)
+        elif key == "time":
+            try:
+                walltime, walltime_line = parse_walltime(value), line_no
+            except BadTimeFormat as exc:
+                raise BadTimeFormat(str(exc), line_no) from None
+        elif key == "output":
+            try:
+                validate_output_template(value)
+            except BadOutputTemplate as exc:
+                raise BadOutputTemplate(str(exc), line_no) from None
+            stdout_template = value
+        elif key == "constraint":
+            for tag in value.split(","):
+                features.add(_parse_feature(tag, line_no))
         else:
-            if d.key == "job-name":
-                name, name_line = d.value, d.line_no
-            elif d.key == "nodes":
-                nodes = _parse_count(d.value, "nodes", d.line_no)
-            elif d.key == "ntasks-per-node":
-                slots = _parse_count(d.value, "ntasks-per-node", d.line_no)
-            elif d.key == "time":
-                try:
-                    walltime, walltime_line = parse_walltime(d.value), d.line_no
-                except BadTimeFormat as exc:
-                    raise BadTimeFormat(str(exc), d.line_no) from None
-            elif d.key == "output":
-                try:
-                    validate_output_template(d.value)
-                except BadOutputTemplate as exc:
-                    raise BadOutputTemplate(str(exc), d.line_no) from None
-                stdout_template = d.value
-            elif d.key == "constraint":
-                for tag in d.value.split(","):
-                    features.add(_parse_feature(tag, d.line_no))
-            else:
-                warn(f"ignoring unknown directive --{d.key}", d.line_no)
+            _warn(sink, strict, f"ignoring unknown directive --{key}", line_no)
 
     if name is None:
         name = default_name[:MAX_NAME_LEN] or DEFAULT_JOB_NAME
@@ -477,31 +458,18 @@ def normalize(
             raise MissingWalltime("no walltime directive (strict mode)")
         walltime = DEFAULT_WALLTIME_S
 
-    resources = ResourceRequest(
-        nodes=nodes if nodes is not None else 1,
-        slots_per_node=slots if slots is not None else 1,
-        features=frozenset(features),
-    )
-
-    if dialect is Dialect.PBS:
-        if merge:
-            output = OutputPolicy(PBS_DEFAULT_STDOUT, None, merge_stderr=True)
-        else:
-            output = OutputPolicy(PBS_DEFAULT_STDOUT, PBS_DEFAULT_STDERR, merge_stderr=False)
+    if pbs:
+        output = _PBS_MERGED_OUTPUT if merge else _PBS_SPLIT_OUTPUT
+    elif stdout_template:
+        output = OutputPolicy(stdout_template, None, True)
     else:
         # SLURM routes stderr into the stdout file unless told otherwise;
         # a separate --error file is not modeled.
-        output = OutputPolicy(stdout_template or SLURM_DEFAULT_STDOUT, None, merge_stderr=True)
+        output = _SLURM_DEFAULT_OUTPUT
 
     try:
-        return JobSpec(
-            name=name,
-            resources=resources,
-            walltime_s=walltime,
-            output=output,
-            body=tuple(body),
-            dialect=dialect,
-        )
+        return JobSpec(name, ResourceRequest(nodes, slots, frozenset(features)), walltime,
+                       output, tuple(body), dialect)
     except BadTimeFormat as exc:  # the walltime's range, checked by the spec
         raise BadTimeFormat(str(exc), walltime_line) from None
 
@@ -518,11 +486,9 @@ def parse_script(
         dialect = detect_dialect(script_text)
     directives, body = parse_directives(script_text, dialect)
     warnings: list[str] = []
-    spec = normalize(
-        directives, body, dialect,
-        default_name=default_name, strict=strict, warnings=warnings,
-    )
-    return ParsedScript(spec=spec, warnings=warnings)
+    spec = normalize(directives, body, dialect, default_name=default_name, strict=strict,
+                     warnings=warnings)
+    return ParsedScript(spec, warnings)
 
 
 def expand_output_template(template: str, job_id: int, job_name: str) -> str:

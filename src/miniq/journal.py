@@ -23,6 +23,8 @@ EVENT_ENDED = "ended"
 EVENT_SESSION_CREATED = "session_created"
 EVENT_SESSION_ENDED = "session_ended"
 _MAX_TIME = sys.float_info.max  # compared, never converted: float() overflows on a 400-digit int
+# json.dumps with any option builds a new encoder per call; this one is built once.
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 # The fields of each event's entry beside its seq, at and event.
 _EVENT_FIELDS = {
@@ -41,7 +43,7 @@ class JournalEntry(namedtuple("JournalEntry", "seq at event data")):
 
     def to_json(self) -> str:
         doc = {"seq": self.seq, "at": self.at, "event": self.event, **self.data}
-        return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+        return _encode(doc)
 
 
 class Entries(list):

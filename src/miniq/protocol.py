@@ -21,11 +21,14 @@ DEFAULT_PORT = 7075
 DEFAULT_SERVER = f"{DEFAULT_HOST}:{DEFAULT_PORT}"
 TOKEN_ENV_VAR = "MINIQ_TOKEN"
 
+# json.dumps with any option builds a new encoder per call; this one is built once.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def send_message(sock: socket.socket, message: dict | str) -> None:
     """Send one message; a ``str`` is a line the caller already encoded."""
     if not isinstance(message, str):
-        message = json.dumps(message, separators=(",", ":")) + "\n"
+        message = _encode(message) + "\n"
     sock.sendall(message.encode("utf-8"))
 
 

@@ -43,18 +43,21 @@ def _spawn(args: list[str], **kwargs) -> Popen:
         raise SpawnFailed(str(exc)) from exc
 
 
-def _signal_unreaped(proc: Popen, signum: int) -> None:
+def _signal_unreaped(proc: Popen, signum: int) -> bool:
     """Signal the process group a leader leads, unless the leader is reaped
     already: after that, its pid may name someone else's group.  The check
     and the signal hold the Popen's own reaping lock, so a poll() or wait()
     on another thread (a session's pump, the tick) cannot reap the leader
-    between them."""
+    between them.  Returns whether the signal reached the leader."""
     with proc._waitpid_lock:
         if proc.returncode is None:
             try:
                 os.killpg(proc.pid, signum)
+                os.kill(proc.pid, 0)  # killpg succeeds if any member got it: did the leader?
+                return True
             except (ProcessLookupError, PermissionError):
                 pass
+    return False
 
 
 def _reap(proc: Popen, block: bool = False) -> int | None:
@@ -81,12 +84,15 @@ def kill_after_grace(dying: list[tuple[Popen, float]], now: float) -> list[tuple
     """SIGKILL the group of each (leader, SIGTERM time) entry ``GRACE_SECONDS``
     after its SIGTERM, then reap the leader; returns the entries still
     waiting.  A group is swept even if its leader died on SIGTERM, since its
-    children may ignore it.  ``now=math.inf`` kills them all."""
+    children may ignore it.  ``now=math.inf`` kills them all.
+
+    A leader the SIGKILL reached is reaped as soon as it exits, which is at
+    once, since SIGKILL cannot be ignored; one it could not reach (a leader
+    that changed its user, as ``exec sudo`` does) stays waiting."""
     waiting = []
     for proc, term_sent_at in dying:
         if now >= term_sent_at + GRACE_SECONDS:
-            _signal_unreaped(proc, signal.SIGKILL)
-            if _reap(proc) is not None:
+            if _reap(proc, block=_signal_unreaped(proc, signal.SIGKILL)) is not None:
                 continue
         waiting.append((proc, term_sent_at))
     return waiting

@@ -24,6 +24,9 @@ from .jobspec import JobSpec, ResourceRequest
 # A placed request: node id -> slots bound on that node.
 Allocation = dict[str, int]
 
+# json.dumps with any option builds a new encoder per call; this one is built once.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class JobStatus(enum.Enum):
     PENDING = "PD"
@@ -158,7 +161,7 @@ class StatusRow:
         """The row as compact JSON, as ``json.dumps`` writes it on the wire;
         encoded on first use and kept, so a finished job's row is encoded once."""
         if self._json is None:
-            self._json = json.dumps(self.to_dict(), separators=(",", ":"))
+            self._json = _encode(self.to_dict())
         return self._json
 
 

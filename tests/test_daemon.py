@@ -101,8 +101,13 @@ def job_state(client: Client, job_id: int) -> str:
 
 class TestAuth:
     def test_bad_token_rejected_and_closed(self, daemon):
-        with pytest.raises(CommandFailed) as excinfo:
-            connect(daemon, token="wrong")
+        host, port = daemon.bound_address
+        client = Client(f"{host}:{port}", "wrong")
+        try:
+            with pytest.raises(CommandFailed) as excinfo:
+                client.connect()
+        finally:
+            client.close()
         assert excinfo.value.exit_code == 2
 
     @pytest.mark.parametrize("first", [
@@ -1055,9 +1060,12 @@ class TestServeLifecycle:
         host, port = daemon.bound_address
         config = daemon_config(tmp_path / "other", port=port)
         (tmp_path / "other").mkdir()
-        with pytest.raises(BindFailed):
-            other = Daemon(config)
-            other.start()
+        other = Daemon(config)
+        try:
+            with pytest.raises(BindFailed):
+                other.start()
+        finally:
+            other.shutdown()  # a failed start() leaves the journal open
 
     def test_restart_recovers_ledger(self, tmp_path):
         first = Daemon(daemon_config(tmp_path))
@@ -1112,6 +1120,21 @@ class TestServeLifecycle:
             second.state.assert_conservation()
         finally:
             second.shutdown()
+
+    def test_shutdown_reaps_the_leader_of_a_running_job(self, tmp_path):
+        # SIGKILL cannot be ignored, so shutdown() waits for the leader's exit
+        # and reaps it: no zombie is left to the process that called it.
+        daemon = Daemon(daemon_config(tmp_path))
+        try:
+            response, _ = daemon.handle_request({
+                "type": "submit", "submit_dir": str(tmp_path),
+                "script": make_pbs_script("holder", 1, 1, 600, body="sleep 30")})
+            daemon.tick_once(daemon._clock())
+            proc = daemon.state.jobs[response["payload"]["job_id"]].proc
+            assert proc.poll() is None
+        finally:
+            daemon.shutdown()
+        assert proc.returncode == -signal.SIGKILL
 
     @pytest.mark.parametrize("config_flag", [
         pytest.param(["--config", "{}"], id="--config PATH"),
