@@ -84,9 +84,13 @@ class Client:
             raise CommandFailed(EXIT_CONN, f"cannot connect to {host}:{port}: {exc}") from exc
         self.sock.settimeout(None)
         self.reader = self.sock.makefile("rb")
-        response = self.request({"type": "auth", "token": self.token})
-        if not response["ok"]:
-            raise CommandFailed(EXIT_CONN, response["payload"].get("message", "auth failed"))
+        try:
+            response = self.request({"type": "auth", "token": self.token})
+            if not response["ok"]:
+                raise CommandFailed(EXIT_CONN, response["payload"].get("message", "auth failed"))
+        except BaseException:
+            self.close()  # no caller holds a Client whose connect failed
+            raise
 
     def request(self, message: dict) -> dict:
         try:

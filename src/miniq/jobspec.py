@@ -301,14 +301,15 @@ def parse_walltime(text: str) -> int:
     clock = text
     if "-" in text:
         day_part, clock = text.split("-", 1)
-        if not day_part.isdigit():
+        if not day_part.isdecimal():
             raise BadTimeFormat(f"bad day count in {text!r}")
         days = int(day_part)
         if clock.count(":") != 2:
             raise BadTimeFormat(f"day form must be D-HH:MM:SS, got {text!r}")
     fields = clock.split(":")
-    # Every field is digits exactly when none is empty and their join is digits.
-    if "" in fields or not clock.replace(":", "").isdigit():
+    # Every field is digits exactly when none is empty and their join is digits;
+    # isdecimal, not isdigit, which also holds for digits int() refuses ('²').
+    if "" in fields or not clock.replace(":", "").isdecimal():
         raise BadTimeFormat(f"non-numeric field in walltime {text!r}")
     values = list(map(int, fields))
     if len(values) == 1:  # a day count comes only with HH:MM:SS
@@ -329,7 +330,7 @@ def render_walltime(seconds: int) -> str:
 
 
 def _parse_count(value: str, what: str, line_no: int) -> int:
-    if not value.strip().isdigit():
+    if not value.strip().isdecimal():
         raise InvalidResource(f"{what} must be a positive integer, got {value!r}", line_no)
     count = int(value)
     if count < 1:

@@ -25,11 +25,14 @@ TOKEN_ENV_VAR = "MINIQ_TOKEN"
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def send_message(sock: socket.socket, message: dict | str) -> None:
-    """Send one message; a ``str`` is a line the caller already encoded."""
-    if not isinstance(message, str):
+def send_message(sock: socket.socket, message: dict | str | bytes) -> None:
+    """Send one message; a ``str`` or ``bytes`` is a line the caller already
+    encoded, and ``bytes`` are sent as they are."""
+    if isinstance(message, dict):
         message = _encode(message) + "\n"
-    sock.sendall(message.encode("utf-8"))
+    if isinstance(message, str):
+        message = message.encode("utf-8")
+    sock.sendall(message)
 
 
 def read_message(reader) -> dict | None:
@@ -58,15 +61,16 @@ def err(code: str, message: str, **extra) -> dict:
     return {"ok": False, "code": code, "payload": payload}
 
 
-def data_frame(chunk: bytes) -> str:
+def data_frame(chunk: bytes) -> bytes:
     """The wire line of one data frame, ready for ``send_message``.
 
     It is the same bytes as encoding ``{"type": "data", "bytes": <base64>}``
     with ``json.dumps``: the base64 alphabet ``[A-Za-z0-9+/=]`` holds no
     character JSON escapes, so the payload goes between the quotes as it is
-    and skips the encoder's passes over a string of up to 1.4 MB.
+    and skips the encoder's passes over a string of up to 1.4 MB.  The line
+    is built as ``bytes``, so the base64 is copied once more, into the line.
     """
-    return '{"type":"data","bytes":"' + base64.b64encode(chunk).decode("ascii") + '"}\n'
+    return b"".join((b'{"type":"data","bytes":"', base64.b64encode(chunk), b'"}\n'))
 
 
 def decode_data_frame(frame: dict) -> bytes:

@@ -16,6 +16,7 @@ import os
 import signal
 import subprocess
 import threading
+from collections import deque
 from collections.abc import Iterable
 from subprocess import Popen
 
@@ -181,41 +182,89 @@ def collect_exits(recs: Iterable[JobRecord]) -> list[tuple[int, int]]:
 
 class RingBuffer:
     """Keeps the most recent <= capacity bytes of a stream; ``start`` is the
-    stream offset of its oldest byte, so ``start > 0`` once it ever dropped."""
+    stream offset of its oldest byte, so ``start > 0`` once it ever dropped.
+
+    The bytes are held in blocks of at most ``READ_BYTES``.  A sealed block
+    is immutable ``bytes``: a chunk of exactly one block is kept as it is,
+    and smaller writes fill the newest block, a ``bytearray``, until it is
+    full or such a chunk arrives.  Dropping old bytes drops whole blocks,
+    so the oldest block may begin before ``start``, and the ring holds at
+    most its capacity plus one block whatever the write sizes.  No write
+    copies more than the chunk and, once, the block it fills.
+    """
 
     def __init__(self, capacity: int = DEFAULT_RING_CAPACITY):
         self.capacity = capacity
-        self._data = bytearray()
+        self._blocks: deque[bytes | bytearray] = deque()
+        self._filling: bytearray | None = None  # the newest block, while it fills
+        self._first = 0  # stream offset of the oldest block's first byte
         self.start = 0
-
-    @property
-    def end(self) -> int:
-        """The stream offset just past the newest byte."""
-        return self.start + len(self._data)
+        self.end = 0  # the stream offset just past the newest byte
 
     @property
     def truncated(self) -> bool:
         return self.start > 0
 
     def append(self, chunk: bytes) -> None:
-        self._data.extend(chunk)
-        overflow = len(self._data) - self.capacity
-        if overflow > 0:
-            del self._data[:overflow]
-            self.start += overflow
+        self.end += len(chunk)
+        if len(chunk) == READ_BYTES and type(chunk) is bytes:
+            self._seal()
+            self._blocks.append(chunk)
+        else:
+            view = memoryview(chunk)
+            while view:
+                if self._filling is None:
+                    self._filling = bytearray()
+                    self._blocks.append(self._filling)
+                room = READ_BYTES - len(self._filling)
+                self._filling += view[:room]
+                view = view[room:]
+                if len(self._filling) == READ_BYTES:
+                    self._seal()
+        start = self.end - self.capacity
+        if start > self.start:
+            self.start = start
+            blocks = self._blocks
+            while self._first + len(blocks[0]) <= start:
+                self._first += len(blocks.popleft())
+
+    def _seal(self) -> None:
+        if self._filling is not None:
+            self._blocks[-1] = bytes(self._filling)
+            self._filling = None
 
     def read(self, offset: int, size: int) -> bytes:
-        """Up to ``size`` bytes from stream offset ``offset``."""
-        at = offset - self.start
-        if at < 0:
+        """Up to ``size`` bytes from stream offset ``offset``, copied once; a
+        read of exactly one sealed block is that block, with no copy."""
+        if offset < self.start:
             raise ValueError(f"offset {offset} was dropped: the ring starts at {self.start}")
-        return bytes(self._data[at:at + size])
+        want = min(size, self.end - offset)
+        if want <= 0:
+            return b""
+        at = offset - self._first
+        blocks = iter(self._blocks)
+        for block in blocks:
+            if at < len(block):
+                break
+            at -= len(block)
+        if at == 0 and len(block) == want and type(block) is bytes:
+            return block
+        # The views go with this call: one alive past it would stop the
+        # filling block from growing.
+        pieces = [memoryview(block)[at:at + want]]
+        want -= len(pieces[0])
+        while want:
+            pieces.append(memoryview(next(blocks))[:want])
+            want -= len(pieces[-1])
+        return b"".join(pieces)
 
     def snapshot(self) -> bytes:
-        return bytes(self._data)
+        # One join in C, and no view of the filling block: a test may call
+        # this without the session's lock while the pump appends.
+        return b"".join(self._blocks)[self.start - self._first:]
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self.end - self.start
 
 
 class Attachment:

@@ -110,6 +110,13 @@ class TestAuth:
             client.close()
         assert excinfo.value.exit_code == 2
 
+    def test_refused_connect_closes_its_socket(self, daemon):
+        host, port = daemon.bound_address
+        client = Client(f"{host}:{port}", "wrong")
+        with pytest.raises(CommandFailed):
+            client.connect()
+        assert (client.sock.fileno(), client.reader.closed) == (-1, True)
+
     @pytest.mark.parametrize("first", [
         pytest.param({"type": "status"}, id="not auth"),
         pytest.param({"type": "auth", "token": "sécret"}, id="non-ASCII token"),
@@ -240,6 +247,18 @@ class TestSubmit:
         client.close()
         assert wait_until(lambda: seen, 5)
         assert [str(args.exc_value) for args in seen] == ["handler fault"]
+
+    @pytest.mark.parametrize("directive, code", [
+        pytest.param("#SBATCH --time=\u00b2", "bad-time-format", id="clock field"),
+        pytest.param("#SBATCH --time=\u00b2-01:00:00", "bad-time-format", id="day count"),
+        pytest.param("#PBS -l nodes=\u00b2", "invalid-resource", id="node count"),
+    ])
+    def test_digit_that_int_refuses_gets_an_error_reply(self, daemon, tmp_path, directive,
+                                                        code):
+        response, attachment = daemon.handle_request({
+            "type": "submit", "script": directive + "\ntrue\n", "submit_dir": str(tmp_path)})
+        assert (response["ok"], response["code"], attachment) == (False, code, None)
+        assert response["payload"]["line"] == 1
 
     def test_null_script_name_is_not_given(self, daemon, tmp_path):
         client = connect(daemon)

@@ -138,6 +138,20 @@ class TestParseWalltime:
         with pytest.raises(BadTimeFormat):
             parse_walltime(text)
 
+    @pytest.mark.parametrize("line, error", [
+        pytest.param("#SBATCH --time=\u00b2\n", BadTimeFormat, id="clock field"),
+        pytest.param("#SBATCH --time=\u00b2-01:00:00\n", BadTimeFormat, id="day count"),
+        pytest.param("#PBS -l nodes=\u00b2\n", InvalidResource, id="node count"),
+    ])
+    def test_digit_that_int_refuses_is_a_script_error(self, line, error):
+        # str.isdigit holds for a superscript two; int() refuses it.
+        with pytest.raises(error):
+            parse_script(line)
+
+    def test_decimal_digits_of_other_scripts_still_parse(self):
+        assert parse_walltime("\u0663") == 180  # ARABIC-INDIC DIGIT THREE, minutes
+        assert parse_walltime("\u0661-00:00:00") == 86400
+
     def test_round_trip_render_parse(self):
         rng = random.Random(7)
         for _ in range(500):

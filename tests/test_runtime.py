@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import os
+import random
 import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -22,6 +24,7 @@ from miniq.jobspec import parse_script
 from miniq.runtime import (
     DEFAULT_RING_CAPACITY,
     GRACE_SECONDS,
+    READ_BYTES,
     RingBuffer,
     SessionRegistry,
     collect_exits,
@@ -170,6 +173,71 @@ class TestRingBuffer:
         assert ring.read(8, 4) == b"ij"
         with pytest.raises(ValueError):
             ring.read(1, 4)  # dropped
+
+    @pytest.mark.parametrize("capacity", [8, 100, READ_BYTES, 1024 * 1024])
+    def test_matches_a_bytes_model(self, capacity):
+        rng = random.Random(capacity)
+        sizes = [1, 7, 100, READ_BYTES - 1, READ_BYTES, READ_BYTES + 1, capacity]
+        ring, model, end, cursor = RingBuffer(capacity), b"", 0, 0
+        for _ in range(100):
+            # A pipe's reads come in multiples of its writers' 4 KiB buffers.
+            size = rng.choice(sizes + [rng.randint(1, capacity), 4096 * rng.randint(1, 16)])
+            chunk = rng.randbytes(size)
+            ring.append(bytearray(chunk) if rng.random() < 0.2 else chunk)
+            model, end = (model + chunk)[-capacity:], end + size
+            start = end - len(model)
+            assert (ring.start, ring.end, len(ring)) == (start, end, len(model))
+            assert ring.truncated is (start > 0)
+            assert ring.snapshot() == model
+            offsets = {start, start + 1, end - 1, end, rng.randint(start, end),
+                       start + READ_BYTES, end - READ_BYTES - 1}
+            for offset in sorted(o for o in offsets if start <= o <= end):
+                for read_size in (1, 3, READ_BYTES):
+                    got = ring.read(offset, read_size)
+                    assert type(got) is bytes
+                    assert got == model[offset - start:offset - start + read_size]
+            if start:
+                with pytest.raises(ValueError):
+                    ring.read(start - 1, 1)
+            # An attachment's reads: READ_BYTES at a time from its cursor.
+            cursor = max(cursor, start)
+            while rng.random() < 0.7 and cursor < end:
+                got = ring.read(cursor, READ_BYTES)
+                assert got == model[cursor - start:cursor - start + READ_BYTES]
+                cursor += len(got)
+
+    def test_a_read_of_one_whole_block_is_that_block(self):
+        ring = RingBuffer()
+        chunk = bytes(READ_BYTES)
+        ring.append(b"x")
+        ring.append(chunk)
+        assert ring.read(1, READ_BYTES) is chunk
+        assert ring.read(0, 2) == b"x\0"
+
+    @pytest.mark.parametrize("sizes", [
+        pytest.param([READ_BYTES], id="64 KiB chunks"),
+        pytest.param([1, 7, 100, 4096, READ_BYTES - 1, READ_BYTES, READ_BYTES + 1],
+                     id="mixed chunks"),
+    ])
+    def test_holds_its_capacity_and_a_few_blocks_at_most(self, sizes):
+        # Each chunk is a fresh object, as a pump read is; the peak counts
+        # the one being appended, and a block sealed while it is copied.
+        capacity = 1024 * 1024
+        rng = random.Random(len(sizes))
+        source = rng.randbytes(2 * READ_BYTES + 1)
+        ring = RingBuffer(capacity)
+        tracemalloc.start()
+        try:
+            written = 0
+            while written < 24 * 1024 * 1024:
+                at, size = rng.randrange(READ_BYTES), rng.choice(sizes)
+                ring.append(source[at:at + size])
+                written += size
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ring) == capacity
+        assert peak < capacity + 8 * READ_BYTES, f"{(peak - capacity) / READ_BYTES:.1f} blocks"
 
 
 def py_counter(n: int, delay: float = 0.0) -> list[str]:
@@ -321,6 +389,41 @@ class TestSessions:
         expected = b"".join(b"%d\n" % i for i in range(1, 100001))
         assert [received[i] == expected for i in range(4)] == [True] * 4
         assert [a.end_reason for a in attachments] == ["exit"] * 4
+
+    def test_readers_on_a_full_ring_each_get_every_byte(self, tmp_path):
+        # Output past the ring's capacity, in pump reads of every size up to
+        # a block, read by four attachments at once; a fifth thread takes
+        # snapshots without the session's lock, as tests do.
+        registry = SessionRegistry()
+        session = registry.create("blocks", gated(tmp_path / "go", "seq 1 400000"), now=0.0)
+        attachments = [registry.attach("blocks") for _ in range(4)]
+        received = {}
+
+        def drain(i):
+            received[i] = b"".join(attachments[i])
+
+        def poll():
+            while session.live:
+                session.ring.snapshot()
+
+        threads = [threading.Thread(target=drain, args=(i,), daemon=True) for i in range(4)]
+        threads.append(threading.Thread(target=poll, daemon=True))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            (tmp_path / "go").touch()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = b"".join(b"%d\n" % i for i in range(1, 400001))
+        assert len(expected) > DEFAULT_RING_CAPACITY
+        assert [received[i] == expected for i in range(4)] == [True] * 4
+        assert [a.end_reason for a in attachments] == ["exit"] * 4
+        assert session.ring.snapshot() == expected[-DEFAULT_RING_CAPACITY:]
 
     def test_detach_from_killed_session_releases_its_pump(self):
         registry = SessionRegistry(ring_capacity=1024)
