@@ -19,7 +19,18 @@ import time
 from pathlib import Path
 
 from . import protocol
-from .errors import InvalidField, ProtocolError, ScriptError
+from .errors import (
+    DuplicateSession,
+    InvalidCommand,
+    InvalidField,
+    InvalidTransition,
+    NoSuchJob,
+    NotAttached,
+    ProtocolError,
+    ScriptError,
+    SpawnFailed,
+    UnknownSession,
+)
 from .jobspec import Dialect, parse_script, read_fields, render_walltime
 from .protocol import DEFAULT_SERVER, TOKEN_ENV_VAR, read_message, send_message
 
@@ -35,15 +46,9 @@ DEFAULT_CONFIG_PATH = "~/.miniq.json"
 
 DETACH_KEY_WINDOW_S = 1.0
 
-_PARSE_CODES = {
-    "parse-error", "mixed-dialects", "no-directives", "malformed-directive",
-    "bad-time-format", "missing-walltime", "invalid-resource", "bad-name",
-    "bad-output-template",
-}
-_TARGET_CODES = {
-    "no-such-job", "invalid-transition", "unknown-session", "duplicate-session",
-    "not-attached", "spawn-failed", "invalid-command",
-}
+_PARSE_CODES = {cls.code for cls in (ScriptError, *ScriptError.__subclasses__())}
+_TARGET_CODES = {cls.code for cls in (NoSuchJob, InvalidTransition, UnknownSession,
+                                      DuplicateSession, NotAttached, SpawnFailed, InvalidCommand)}
 
 STAT_COLUMNS = ("JOBID", "NAME", "ST", "NODESLOTS", "ELAPSED", "LIMIT")
 

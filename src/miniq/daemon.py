@@ -31,6 +31,7 @@ from .errors import (
     MiniqError,
     ProtocolError,
     ScriptError,
+    ShuttingDown,
 )
 from .jobspec import REQUIRED, Dialect, parse_script, read_fields
 from .protocol import data_frame, end_frame, err, ok
@@ -214,10 +215,10 @@ class Daemon:
         """Reap exits, enforce walltimes, journal session ends, start jobs.
         ``now`` defaults to the clock, read once the lock is held."""
         with self._mu:
-            if self._stop.is_set():
+            try:
+                now = self._admit(now)
+            except ShuttingDown:
                 return  # shutdown may have killed every job; none may start after
-            if now is None:
-                now = self._clock()
             for job_id, code in collect_exits(rec for _, _, rec in self.state.releases):
                 self._end(job_id, Outcome.exit(code), now)
             for job_id in poll_walltime((rec for _, _, rec in self.state.releases), now):
@@ -234,6 +235,15 @@ class Daemon:
                     rec.proc = launch_job(rec.spec, event.job_id, rec.submit_dir)
                 except MiniqError as exc:
                     self._end(event.job_id, Outcome.daemon_failure(str(exc)), now)
+
+    def _admit(self, now: float | None = None) -> float:
+        """Called holding the lock before a change to jobs, sessions or the
+        journal: refuses it once shutdown has begun, since shutdown kills
+        every process and closes the journal.  Returns ``now``, read from
+        the clock if None."""
+        if self._stop.is_set():
+            raise ShuttingDown("the daemon is shutting down")
+        return self._clock() if now is None else now
 
     def _end(self, job_id: int, outcome: Outcome, now: float) -> Popen | None:
         """End a job: apply ``outcome``, journal its ``ended`` entry, and take
@@ -271,7 +281,7 @@ class Daemon:
             return err("invalid-request", "submit_dir must be an absolute path"), None
         parsed = parse_script(script, dialect=dialect, default_name=script_name, strict=strict)
         with self._mu:
-            now = self._clock()
+            now = self._admit()
             job_id = self.state.submit(parsed.spec, submit_dir, now)
             self.journal.submitted(self.state.jobs[job_id], now)
         return ok({"job_id": job_id, "warnings": parsed.warnings}), None
@@ -282,15 +292,14 @@ class Daemon:
         job_id = message.get("job_id")  # any value: snapshot matches only an int id
         with self._mu:
             rows = self.state.snapshot(self._clock(), states=states, job_id=job_id)
-        # Encoded outside the lock; the same bytes as send_message would
-        # write for ok({"rows": [row.to_dict() for row in rows]}).
-        texts = ",".join([row.json for row in rows])
-        return '{"ok":true,"code":"ok","payload":{"rows":[' + texts + "]}}\n", None
+        # The same bytes as send_message would write for ok({"rows": [...]})
+        # with each row decoded.
+        return '{"ok":true,"code":"ok","payload":{"rows":[' + ",".join(rows) + "]}}\n", None
 
     def _handle_cancel(self, message: dict):
         (job_id,) = read_fields(message, (("job_id", int, REQUIRED),))
         with self._mu:
-            now = self._clock()
+            now = self._admit()
             proc = self._end(job_id, Outcome.cancel(), now)
             if proc is not None:
                 terminate(proc)
@@ -300,7 +309,7 @@ class Daemon:
     def _handle_session_create(self, message: dict):
         name, command = read_fields(message, _SESSION_CREATE_FIELDS)
         with self._mu:
-            now = self._clock()
+            now = self._admit()
             self.sessions.create(name, command, now)
             self.journal.session_created(name, now)
         return ok({"name": name}), None
@@ -311,7 +320,7 @@ class Daemon:
     def _handle_session_kill(self, message: dict):
         (name,) = read_fields(message, _NAME_FIELDS)
         with self._mu:
-            now = self._clock()
+            now = self._admit()
             proc, unjournaled = self.sessions.kill(name)
             if proc is not None:
                 self._dying.append((proc, now))

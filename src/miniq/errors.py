@@ -123,6 +123,12 @@ class ConfigError(MiniqError):
     code = "config-error"
 
 
+class ShuttingDown(MiniqError):
+    """A change requested once the daemon has begun to shut down."""
+
+    code = "shutting-down"
+
+
 class InvalidField(MiniqError):
     """A missing or mistyped field of a request, config, journal entry or spec."""
 

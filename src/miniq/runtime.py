@@ -258,11 +258,6 @@ class RingBuffer:
             want -= len(pieces[-1])
         return b"".join(pieces)
 
-    def snapshot(self) -> bytes:
-        # One join in C, and no view of the filling block: a test may call
-        # this without the session's lock while the pump appends.
-        return b"".join(self._blocks)[self.start - self._first:]
-
     def __len__(self) -> int:
         return self.end - self.start
 
@@ -297,13 +292,6 @@ class Attachment:
             changed.notify_all()  # the pump may wait for this reader
             return chunk
 
-    def __iter__(self):
-        while True:
-            chunk = self.read()
-            if chunk is None:
-                return
-            yield chunk
-
 
 class Session:
     __slots__ = ("name", "created_at", "proc", "ring", "live", "lost", "attachments", "changed")
@@ -318,10 +306,6 @@ class Session:
         self.attachments: list[Attachment] = []
         # Notified when the ring grows, a reader advances or the stream ends.
         self.changed = threading.Condition(lock)
-
-    @property
-    def attached(self) -> int:
-        return len(self.attachments)
 
 
 class SessionRegistry:
@@ -415,16 +399,12 @@ class SessionRegistry:
                 {
                     "name": s.name,
                     "live": s.live,
-                    "attached": s.attached,
+                    "attached": len(s.attachments),
                     "created_at": s.created_at,
                     "lost": s.lost,
                 }
                 for _, s in sorted(self._sessions.items())
             ]
-
-    def get(self, name: str) -> Session | None:
-        with self._lock:
-            return self._sessions.get(name)
 
     def kill(self, name: str) -> tuple[Popen | None, bool]:
         """Drop the name and SIGTERM the process group.  Returns the process

@@ -94,7 +94,6 @@ class JobRecord:
         allocation: Allocation | None = None,
         exit_code: int | None = None,
         reason: str | None = None,
-        row: StatusRow | None = None,
     ):
         self.id = id
         self.spec = spec
@@ -106,8 +105,8 @@ class JobRecord:
         self.allocation = allocation
         self.exit_code = exit_code
         self.reason = reason
-        # The status row of a finished job, which never changes again.
-        self.row = row
+        # (state, status row text) while the row cannot change: see status_row.
+        self.row = None
         # The leader process while the job runs, set and cleared by the
         # daemon; the scheduler never reads it.
         self.proc = None
@@ -123,71 +122,34 @@ class JobRecord:
 StartEvent = namedtuple("StartEvent", "job_id allocation")
 
 
-class StatusRow:
-    """One job's line in a ``status`` listing; treated as immutable."""
-
-    __slots__ = ("id", "name", "state", "nodes", "slots_per_node", "elapsed_s", "limit_s",
-                 "_json")
-
-    def __init__(self, id: int, name: str, state: str, nodes: int, slots_per_node: int,
-                 elapsed_s: int | None, limit_s: int):
-        self.id = id
-        self.name = name
-        self.state = state
-        self.nodes = nodes
-        self.slots_per_node = slots_per_node
-        self.elapsed_s = elapsed_s
-        self.limit_s = limit_s
-        self._json = None
-
-    def __eq__(self, other):
-        if other.__class__ is not StatusRow:
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "state": self.state,
-            "nodes": self.nodes,
-            "slots_per_node": self.slots_per_node,
-            "elapsed_s": self.elapsed_s,
-            "limit_s": self.limit_s,
-        }
-
-    @property
-    def json(self) -> str:
-        """The row as compact JSON, as ``json.dumps`` writes it on the wire;
-        encoded on first use and kept, so a finished job's row is encoded once."""
-        if self._json is None:
-            self._json = _encode(self.to_dict())
-        return self._json
-
-
-def status_row(rec: JobRecord, now: float) -> StatusRow:
-    """The job's status row at ``now``; a finished job's row is kept on its
-    record and reused."""
-    if rec.row is not None:
-        return rec.row
-    if rec.state is JobStatus.RUNNING:
+def status_row(rec: JobRecord, now: float) -> str:
+    """The job's row in a ``status`` listing at ``now``, as compact JSON
+    text.  A Pending or finished job's row cannot change while its state
+    holds, so it is kept on the record with that state and served until the
+    state moves on."""
+    state = rec.state
+    kept = rec.row
+    if kept is not None and kept[0] is state:
+        return kept[1]
+    if state is JobStatus.RUNNING:
         elapsed = int(now - rec.start_time)
     elif rec.start_time is not None and rec.end_time is not None:
         elapsed = int(rec.end_time - rec.start_time)
     else:
         elapsed = None
-    row = StatusRow(
-        id=rec.id,
-        name=rec.spec.name,
-        state=rec.state.value,
-        nodes=rec.spec.resources.nodes,
-        slots_per_node=rec.spec.resources.slots_per_node,
-        elapsed_s=elapsed,
-        limit_s=rec.spec.walltime_s,
-    )
-    if rec.state in TERMINAL_STATES:
-        rec.row = row
-    return row
+    spec = rec.spec
+    text = _encode({
+        "id": rec.id,
+        "name": spec.name,
+        "state": state.value,
+        "nodes": spec.resources.nodes,
+        "slots_per_node": spec.resources.slots_per_node,
+        "elapsed_s": elapsed,
+        "limit_s": spec.walltime_s,
+    })
+    if state is not JobStatus.RUNNING:
+        rec.row = (state, text)
+    return text
 
 
 def first_fit(request: ResourceRequest, nodes: list[Node]) -> Allocation | None:
@@ -468,8 +430,9 @@ class ClusterState:
         *,
         states: set[JobStatus] | None = None,
         job_id: int | None = None,
-    ) -> list[StatusRow]:
-        """Status rows ascending by id, optionally filtered by state or id.
+    ) -> list[str]:
+        """Status rows, as JSON text, ascending by id, optionally filtered by
+        state or id.
 
         ``jobs`` holds ids in ascending order (see ``assert_conservation``),
         so no sort is needed; filters apply before any row is built.

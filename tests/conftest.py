@@ -144,6 +144,19 @@ def wait_until(predicate, timeout: float, interval: float = 0.02):
         time.sleep(interval)
 
 
+def stream(attachment):
+    """Each chunk an attachment reads, until its stream ends."""
+    while (chunk := attachment.read()) is not None:
+        yield chunk
+
+
+def ring_bytes(session) -> bytes:
+    """Every byte a session's ring holds, read under the session's lock, as
+    the pump appends: ``read`` views the filling block while it copies."""
+    with session.changed:
+        return session.ring.read(session.ring.start, len(session.ring))
+
+
 def process_alive(pid: int) -> bool:
     """True while pid runs; a zombie or a reaped process counts as gone."""
     try:

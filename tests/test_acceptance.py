@@ -29,6 +29,7 @@ from conftest import (
     make_pbs_script,
     make_slurm_script,
     make_spec,
+    stream,
     wait_until,
 )
 from harness import run_cluster
@@ -314,12 +315,12 @@ def test_detach_reattach_integrity():
         seen += chunk
     registry.detach("numbers", first)
 
-    session = registry.get("numbers")
+    session = registry._sessions["numbers"]
     line70 = b"".join(b"%d\n" % i for i in range(1, 71))
     assert wait_until(lambda: len(session.ring) >= len(line70), 5)
 
     second = registry.attach("numbers")
-    delivered = b"".join(second)
+    delivered = b"".join(stream(second))
     assert delivered == expected
     assert second.end_reason == "exit"
 

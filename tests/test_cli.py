@@ -17,6 +17,7 @@ import pytest
 from conftest import make_pbs_script, make_slurm_script, wait_until
 from miniq import cli
 from miniq.cli import Client
+from miniq import errors
 from miniq.daemon import Daemon
 from test_daemon import TOKEN, daemon_config
 
@@ -49,6 +50,27 @@ def write_script(tmp_path, name: str, text: str) -> str:
 def submitted_job_id(capsys) -> int:
     out = capsys.readouterr().out
     return int(out.strip())
+
+
+class TestExitCodes:
+    def test_every_script_error_exits_as_a_parse_error(self):
+        classes, unseen = [], [errors.ScriptError]
+        while unseen:
+            cls = unseen.pop()
+            classes.append(cls)
+            unseen += cls.__subclasses__()
+        assert len(classes) == 9
+        assert {cls.code: cli._exit_code_for(cls.code) for cls in classes} \
+            == {cls.code: cli.EXIT_PARSE for cls in classes}
+
+    def test_bad_targets_and_the_rest(self):
+        targets = (errors.NoSuchJob, errors.InvalidTransition, errors.UnknownSession,
+                   errors.DuplicateSession, errors.NotAttached, errors.SpawnFailed,
+                   errors.InvalidCommand)
+        assert {cli._exit_code_for(cls.code) for cls in targets} == {cli.EXIT_TARGET}
+        assert cli._exit_code_for(errors.Unsatisfiable.code) == cli.EXIT_UNSAT
+        for cls in (errors.ShuttingDown, errors.ProtocolError):
+            assert cli._exit_code_for(cls.code) == cli.EXIT_CONN
 
 
 class TestSubmit:
@@ -203,8 +225,7 @@ class TestStat:
         capsys.readouterr()
         assert cli.main(["--json", "stat"]) == 0
         emitted = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        snapshot = [row.to_dict() for row in
-                    daemon.state.snapshot(daemon._clock())]
+        snapshot = [json.loads(row) for row in daemon.state.snapshot(daemon._clock())]
         # elapsed for running jobs moves with the clock; compare it loosely
         assert len(emitted) == len(snapshot)
         for got, expected in zip(emitted, snapshot):
@@ -248,7 +269,7 @@ class TestSessions:
         assert "my_session_name" in out
 
         assert wait_until(
-            lambda: not daemon.sessions.get("my_session_name").live, 5)
+            lambda: not daemon.sessions._sessions["my_session_name"].live, 5)
         assert cli.main(["session", "attach", "my_session_name"]) == 0
         out = capsys.readouterr().out
         assert out == "0\n1\n2\n[session ended]\n"

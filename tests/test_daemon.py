@@ -22,14 +22,15 @@ from conftest import (
     make_pbs_script,
     make_spec,
     process_alive,
+    ring_bytes,
     wait_until,
 )
 from miniq import daemon as daemon_mod
 from miniq import journal as journal_mod
-from miniq import protocol
+from miniq import protocol, runtime
 from miniq.cli import Client, CommandFailed
 from miniq.daemon import DEFAULT_TICK_INTERVAL_S, Daemon, DaemonConfig, load_config, main
-from miniq.errors import BindFailed, ConfigError, JournalCorrupt
+from miniq.errors import BindFailed, ConfigError, JournalCorrupt, SpawnFailed
 from miniq.journal import EVENT_SESSION_CREATED, Journal, read_entries
 from miniq.runtime import DEFAULT_RING_CAPACITY, GRACE_SECONDS, READ_BYTES
 from miniq.sched import JobStatus, Node, Outcome
@@ -454,7 +455,7 @@ class TestLifecycleOverWire:
                 line, attachment = daemon.handle_request({"type": "status", **extra})
                 states = {JobStatus(extra["state"])} if "state" in extra else None
                 rows = state.snapshot(100.0, states=states, job_id=extra.get("job_id"))
-                expected = protocol.ok({"rows": [row.to_dict() for row in rows]})
+                expected = protocol.ok({"rows": [json.loads(row) for row in rows]})
                 assert line == json.dumps(expected, separators=(",", ":")) + "\n", extra
                 assert attachment is None
             sender, receiver = socket.socketpair()
@@ -795,7 +796,7 @@ class TestSessionEnds:
         try:
             os.makedirs(daemon.config.workdir_root)
             daemon.handle_request({"type": "session_create", "name": "a", "command": ["true"]})
-            ended = daemon.sessions.get("a")
+            ended = daemon.sessions._sessions["a"]
             assert wait_until(lambda: not ended.live, 5)
             daemon.handle_request({"type": "session_create", "name": "a",
                                    "command": ["sleep", "30"]})
@@ -817,7 +818,7 @@ class TestSessionEnds:
         try:
             os.makedirs(daemon.config.workdir_root)
             daemon.handle_request({"type": "session_create", "name": "b", "command": ["true"]})
-            ended = daemon.sessions.get("b")
+            ended = daemon.sessions._sessions["b"]
             assert wait_until(lambda: not ended.live, 5)
             daemon.handle_request({"type": "session_kill", "name": "b"})
             daemon.tick_once(daemon._clock())
@@ -831,7 +832,7 @@ class TestSessionEnds:
         try:
             os.makedirs(daemon.config.workdir_root)
             daemon.handle_request({"type": "session_create", "name": "c", "command": ["true"]})
-            ended = daemon.sessions.get("c")
+            ended = daemon.sessions._sessions["c"]
             assert wait_until(lambda: not ended.live, 5)
             daemon.tick_once()  # journals c's end
             response, _ = daemon.handle_request({"type": "session_kill", "name": "c"})
@@ -1015,9 +1016,9 @@ class TestSessionsOverWire:
         script = "(trap '' TERM; exec sleep 30) >/dev/null 2>&1 & echo $!; wait"
         client.request({"type": "session_create", "name": "orphaning",
                         "command": ["sh", "-c", script]})
-        session = daemon.sessions.get("orphaning")
-        assert wait_until(lambda: session.ring.snapshot().endswith(b"\n"), 5)
-        child = int(session.ring.snapshot())
+        session = daemon.sessions._sessions["orphaning"]
+        assert wait_until(lambda: ring_bytes(session).endswith(b"\n"), 5)
+        child = int(ring_bytes(session))
 
         def trap_installed():  # the trap comes before the exec
             try:
@@ -1064,8 +1065,8 @@ class TestSessionsOverWire:
                 "time.sleep(30)")
         client.request({"type": "session_create", "name": "stubborn",
                         "command": [sys.executable, "-c", code]})
-        session = daemon.sessions.get("stubborn")
-        assert wait_until(lambda: b"ready" in session.ring.snapshot(), 5)
+        session = daemon.sessions._sessions["stubborn"]
+        assert wait_until(lambda: b"ready" in ring_bytes(session), 5)
         client.request({"type": "session_kill", "name": "stubborn"})
         time.sleep(0.5)
         assert session.proc.returncode is None
@@ -1154,6 +1155,40 @@ class TestServeLifecycle:
         finally:
             daemon.shutdown()
         assert proc.returncode == -signal.SIGKILL
+
+    def test_no_change_once_shutdown_has_begun(self, tmp_path, monkeypatch):
+        # A request read before the stop that takes the lock after shutdown
+        # killed every process and closed the journal must change nothing.
+        spawned = []
+
+        def no_spawn(args, **kwargs):
+            spawned.append(args)
+            raise SpawnFailed("no process may start after shutdown")
+
+        monkeypatch.setattr(runtime, "_spawn", no_spawn)
+        daemon = Daemon(daemon_config(tmp_path))
+        response, _ = daemon.handle_request({
+            "type": "submit", "submit_dir": str(tmp_path),
+            "script": make_pbs_script("early", 1, 1, 60, body="true")})
+        assert response["payload"]["job_id"] == 1
+        daemon.shutdown()
+        requests = [
+            {"type": "submit", "submit_dir": str(tmp_path),
+             "script": make_pbs_script("late", 1, 1, 60, body="true")},
+            {"type": "cancel", "job_id": 1},
+            {"type": "session_create", "name": "late", "command": ["sleep", "30"]},
+            {"type": "session_kill", "name": "late"},
+        ]
+        for request in requests:
+            response, attachment = daemon.handle_request(request)
+            assert (response["ok"], response["code"], attachment) \
+                == (False, "shutting-down", None), request
+        daemon.tick_once()
+        assert list(daemon.state.jobs) == [1] and daemon.state.queue == [1]
+        assert daemon.state.jobs[1].state is JobStatus.PENDING
+        assert daemon.sessions.rows() == []
+        assert spawned == []
+        assert [e.event for e in read_entries(daemon.config.journal_path)] == ["submitted"]
 
     @pytest.mark.parametrize("config_flag", [
         pytest.param(["--config", "{}"], id="--config PATH"),

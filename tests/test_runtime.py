@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import gated, process_alive, wait_until
+from conftest import gated, process_alive, ring_bytes, stream, wait_until
 from miniq.errors import (
     DuplicateSession,
     InvalidCommand,
@@ -163,10 +163,10 @@ class TestRingBuffer:
     def test_keeps_recent_bytes_and_flags_overflow(self):
         ring = RingBuffer(capacity=8)
         ring.append(b"abcd")
-        assert ring.snapshot() == b"abcd"
+        assert ring.read(ring.start, len(ring)) == b"abcd"
         assert ring.truncated is False
         ring.append(b"efghij")
-        assert ring.snapshot() == b"cdefghij"
+        assert ring.read(ring.start, len(ring)) == b"cdefghij"
         assert ring.truncated is True
         assert (ring.start, ring.end) == (2, 10)
         assert ring.read(3, 4) == b"defg"
@@ -188,7 +188,7 @@ class TestRingBuffer:
             start = end - len(model)
             assert (ring.start, ring.end, len(ring)) == (start, end, len(model))
             assert ring.truncated is (start > 0)
-            assert ring.snapshot() == model
+            assert ring.read(ring.start, len(ring)) == model
             offsets = {start, start + 1, end - 1, end, rng.randint(start, end),
                        start + READ_BYTES, end - READ_BYTES - 1}
             for offset in sorted(o for o in offsets if start <= o <= end):
@@ -281,7 +281,7 @@ class TestSessions:
         session = registry.create("replay", py_counter(1), now=0.0)
         assert wait_until(lambda: not session.live, 5)
         attachment = registry.attach("replay")
-        chunks = b"".join(attachment)
+        chunks = b"".join(stream(attachment))
         assert chunks == b"0\n"
         assert attachment.end_reason == "exit"
 
@@ -297,7 +297,7 @@ class TestSessions:
         registry.detach("stayalive", attachment)
         assert session.proc.poll() is None
         assert session.proc.pid == pid
-        assert session.attached == 0
+        assert session.attachments == []
         with pytest.raises(NotAttached):
             registry.detach("stayalive", attachment)
         registry.kill("stayalive")
@@ -308,7 +308,7 @@ class TestSessions:
         first = registry.attach("shared")
         second = registry.attach("shared")
         registry.detach("shared", first)
-        data = b"".join(second)
+        data = b"".join(stream(second))
         assert data.startswith(b"0\n")
         assert b"59\n" in data
 
@@ -327,7 +327,7 @@ class TestSessions:
         attachment = registry.attach("victim")
         assert attachment.read(timeout=0.01) == b""  # live and quiet: timed out
         registry.kill("victim")
-        assert b"".join(attachment) == b""
+        assert b"".join(stream(attachment)) == b""
         assert attachment.end_reason == "killed"
         assert attachment.read(timeout=0.01) is None
 
@@ -344,11 +344,11 @@ class TestSessions:
             received += chunk
         registry.detach("integrity", first)
 
-        session = registry.get("integrity")
+        session = registry._sessions["integrity"]
         assert wait_until(lambda: len(session.ring) >= len(b"".join(b"%d\n" % i for i in range(50))), 5)
 
         second = registry.attach("integrity")
-        replayed_then_live = b"".join(second)
+        replayed_then_live = b"".join(stream(second))
         expected = b"".join(b"%d\n" % i for i in range(100))
         assert replayed_then_live == expected
 
@@ -362,7 +362,7 @@ class TestSessions:
         time.sleep(1.0)  # read nothing
         assert session.live
         assert len(session.ring) <= DEFAULT_RING_CAPACITY
-        assert sum(len(chunk) for chunk in attachment) == size
+        assert sum(len(chunk) for chunk in stream(attachment)) == size
         assert attachment.end_reason == "exit"
 
     def test_readers_on_a_small_ring_each_get_every_byte(self, tmp_path):
@@ -372,7 +372,7 @@ class TestSessions:
         received = {}
 
         def drain(i):
-            received[i] = b"".join(attachments[i])
+            received[i] = b"".join(stream(attachments[i]))
 
         readers = [threading.Thread(target=drain, args=(i,), daemon=True) for i in range(4)]
         interval = sys.getswitchinterval()
@@ -392,19 +392,19 @@ class TestSessions:
 
     def test_readers_on_a_full_ring_each_get_every_byte(self, tmp_path):
         # Output past the ring's capacity, in pump reads of every size up to
-        # a block, read by four attachments at once; a fifth thread takes
-        # snapshots without the session's lock, as tests do.
+        # a block, read by four attachments at once; a fifth thread reads the
+        # whole ring under the session's lock, as tests do.
         registry = SessionRegistry()
         session = registry.create("blocks", gated(tmp_path / "go", "seq 1 400000"), now=0.0)
         attachments = [registry.attach("blocks") for _ in range(4)]
         received = {}
 
         def drain(i):
-            received[i] = b"".join(attachments[i])
+            received[i] = b"".join(stream(attachments[i]))
 
         def poll():
             while session.live:
-                session.ring.snapshot()
+                ring_bytes(session)
 
         threads = [threading.Thread(target=drain, args=(i,), daemon=True) for i in range(4)]
         threads.append(threading.Thread(target=poll, daemon=True))
@@ -423,7 +423,7 @@ class TestSessions:
         assert len(expected) > DEFAULT_RING_CAPACITY
         assert [received[i] == expected for i in range(4)] == [True] * 4
         assert [a.end_reason for a in attachments] == ["exit"] * 4
-        assert session.ring.snapshot() == expected[-DEFAULT_RING_CAPACITY:]
+        assert ring_bytes(session) == expected[-DEFAULT_RING_CAPACITY:]
 
     def test_detach_from_killed_session_releases_its_pump(self):
         registry = SessionRegistry(ring_capacity=1024)
@@ -443,7 +443,7 @@ class TestSessions:
         assert wait_until(lambda: not session.live, 10)
         attachment = registry.attach("noisy")
         assert attachment.truncated is True
-        data = b"".join(attachment)
+        data = b"".join(stream(attachment))
         assert len(data) <= 64
         assert data.endswith(b"299\n")
 
@@ -468,7 +468,7 @@ class TestSessions:
         session = registry.create(
             "leaves_child", ["sh", "-c", "sleep 30 >/dev/null 2>&1 & echo $!"], now=0.0)
         assert wait_until(lambda: not session.live, 5)
-        child = int(session.ring.snapshot())
+        child = int(ring_bytes(session))
         assert wait_until(lambda: not process_alive(child), 2)
 
     def test_ended_sessions_close_their_pipes(self):

@@ -735,19 +735,19 @@ class TestSnapshot:
         state.submit(make_spec(name="automl_job", walltime_s=14400), "/tmp", 0)
         rows = state.snapshot(now=0)
         assert len(rows) == 1
-        row = rows[0]
-        assert (row.id, row.state, row.elapsed_s) == (1, "PD", None)
+        row = json.loads(rows[0])
+        assert (row["id"], row["state"], row["elapsed_s"]) == (1, "PD", None)
 
     def test_running_row_elapsed_and_limit(self):
         state = make_cluster(8)
         state.submit(make_spec(name="automl_job", slots=8, walltime_s=14400), "/tmp", 0)
         state.tick(0)
         rows = state.snapshot(now=60)
-        row = rows[0]
-        assert row.state == "R"
-        assert row.elapsed_s == 60
-        assert row.limit_s == 14400
-        assert (row.nodes, row.slots_per_node) == (1, 8)
+        row = json.loads(rows[0])
+        assert row["state"] == "R"
+        assert row["elapsed_s"] == 60
+        assert row["limit_s"] == 14400
+        assert (row["nodes"], row["slots_per_node"]) == (1, 8)
 
     def test_filter_excludes_everything(self):
         state = make_cluster(8)
@@ -759,36 +759,106 @@ class TestSnapshot:
         for _ in range(5):
             state.submit(make_spec(), "/tmp", 0)
         rows = state.snapshot(now=0)
-        assert [r.id for r in rows] == [1, 2, 3, 4, 5]
+        assert [json.loads(r)["id"] for r in rows] == [1, 2, 3, 4, 5]
 
     def test_row_listed_running_is_listed_finished_after_it_ends(self):
         state = make_cluster(8)
         state.submit(make_spec(slots=8, walltime_s=600), "/tmp", 0)
         state.tick(10)
-        assert [(r.state, r.elapsed_s) for r in state.snapshot(now=40)] == [("R", 30)]
+        assert [(r["state"], r["elapsed_s"]) for r in map(json.loads, state.snapshot(now=40))] \
+            == [("R", 30)]
         state.transition(1, Outcome.exit(0), 55)
         (row,) = state.snapshot(now=500)
-        assert (row.state, row.elapsed_s) == ("CD", 45)
+        fields = json.loads(row)
+        assert (fields["state"], fields["elapsed_s"]) == ("CD", 45)
         assert state.snapshot(now=900) == [row]
-        assert row.json == json.dumps(row.to_dict(), separators=(",", ":"))
+        assert row == json.dumps(fields, separators=(",", ":"))
 
     def test_job_id_builds_one_row(self, monkeypatch):
         state = make_cluster(8)
         for _ in range(5000):
             state.submit(make_spec(), "/tmp", 0)
         built = []
-        row_class = sched.StatusRow
+        build_row = sched.status_row
 
-        def counting_row(**fields):
-            built.append(fields["id"])
-            return row_class(**fields)
+        def counting_row(rec, now):
+            built.append(rec.id)
+            return build_row(rec, now)
 
-        monkeypatch.setattr(sched, "StatusRow", counting_row)
-        assert [r.id for r in state.snapshot(now=0, job_id=2500)] == [2500]
+        monkeypatch.setattr(sched, "status_row", counting_row)
+        assert [json.loads(r)["id"] for r in state.snapshot(now=0, job_id=2500)] == [2500]
         assert state.snapshot(now=0, job_id=9999) == []
         assert state.snapshot(now=0, job_id=[1]) == []  # unhashable, as off the wire
         assert state.snapshot(now=0, job_id=2500, states={JobStatus.RUNNING}) == []
         assert built == [2500]
+
+
+class TestRowCache:
+    """A kept row is served only while its job's state is the one it was
+    built in: after each step of a random history, every row equals the
+    compact JSON of the fields read from the job's record."""
+
+    NAMES = ("job", "caf\u00e9", 'say "hi"', "\u03bb\U0001f600")
+
+    @staticmethod
+    def expected(rec, now) -> str:
+        if rec.state is JobStatus.RUNNING:
+            elapsed = int(now - rec.start_time)
+        elif rec.start_time is not None and rec.end_time is not None:
+            elapsed = int(rec.end_time - rec.start_time)
+        else:
+            elapsed = None
+        return json.dumps({
+            "id": rec.id,
+            "name": rec.spec.name,
+            "state": rec.state.value,
+            "nodes": rec.spec.resources.nodes,
+            "slots_per_node": rec.spec.resources.slots_per_node,
+            "elapsed_s": elapsed,
+            "limit_s": rec.spec.walltime_s,
+        }, separators=(",", ":"))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_follow_a_random_history(self, seed):
+        rng = random.Random(seed)
+        state = make_cluster(2, 3)
+        now, taken = 0.0, set()
+        for _ in range(300):
+            now += rng.choice((0.0, 0.4, 1.0, 2.7))
+            pending = list(state.queue)
+            running = [job_id for _, job_id, _ in state.releases]
+            steps = ["submit", "submit", "tick", "snapshot"]
+            if pending:
+                steps.append("cancel-pending")
+            if running:
+                steps += ["exit", "timeout", "cancel-running"]
+            step = rng.choice(steps)
+            taken.add(step)
+            if step == "submit":
+                spec = make_spec(nodes=rng.randint(1, 2), slots=rng.randint(1, 2),
+                                 walltime_s=rng.randint(1, 30), name=rng.choice(self.NAMES))
+                state.submit(spec, "/tmp", now)
+            elif step == "tick":
+                state.tick(now)
+            elif step == "exit":
+                state.transition(rng.choice(running), Outcome.exit(rng.randrange(3)), now)
+            elif step == "timeout":
+                state.transition(rng.choice(running), Outcome.timeout(), now)
+            elif step == "cancel-pending":
+                state.transition(rng.choice(pending), Outcome.cancel(), now)
+            elif step == "cancel-running":
+                state.transition(rng.choice(running), Outcome.cancel(), now)
+            elif step == "snapshot":
+                states = rng.choice((None, {rng.choice(list(JobStatus))}))
+                job_id = rng.choice((None, rng.randint(0, len(state.jobs) + 1)))
+                assert state.snapshot(now, states=states, job_id=job_id) == [
+                    self.expected(rec, now) for rec in state.jobs.values()
+                    if (states is None or rec.state in states)
+                    and (job_id is None or rec.id == job_id)]
+            assert state.snapshot(now) == [self.expected(rec, now)
+                                           for rec in state.jobs.values()]
+        assert taken == {"submit", "tick", "exit", "timeout", "cancel-pending",
+                         "cancel-running", "snapshot"}
 
 
 class TestOracleAgreement:
