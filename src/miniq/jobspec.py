@@ -1,10 +1,11 @@
 """Job script parsing: PBS and SLURM directive dialects normalized to one JobSpec.
 
 A job script is plain shell text whose scheduler instructions live in comment
-lines starting with ``#PBS `` or ``#SBATCH `` at column 0.  Parsing happens in
-three stages: dialect detection, directive extraction, and normalization into
-a dialect-independent :class:`JobSpec`.  Non-directive lines (including the
-shebang and blank lines) are preserved byte-for-byte as the job body.
+lines starting with ``#PBS `` or ``#SBATCH `` at column 0.  Parsing is dialect
+detection, then one pass over the lines that applies each directive as it is
+split, building a dialect-independent :class:`JobSpec`.  Non-directive lines
+(including the shebang and blank lines) are preserved byte-for-byte as the job
+body.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     MissingWalltime,
     MixedDialects,
     NoDirectives,
+    ScriptError,
 )
 
 PBS_PREFIX = "#PBS "
@@ -54,17 +56,6 @@ class Dialect(enum.Enum):
 # The members as module globals for the parser: on Python 3.11, reading one
 # off the class goes through EnumType's attribute hook, several times slower.
 _PBS, _SLURM = Dialect.PBS, Dialect.SLURM
-
-
-class Directive(namedtuple("Directive", "key value line_no raw", defaults=("",))):
-    """One scheduler instruction extracted from a script line.
-
-    ``raw`` keeps the original line so the multiset of input lines can be
-    reconstructed from (directives, body).  A PBS ``-l`` list yields one
-    Directive per comma-separated item, all sharing the same raw line.
-    """
-
-    __slots__ = ()
 
 
 class ResourceRequest(namedtuple("ResourceRequest", "nodes slots_per_node features")):
@@ -200,13 +191,13 @@ _SPEC_FIELDS = (("name", str, REQUIRED), ("nodes", int, REQUIRED),
 
 
 class ParsedScript:
-    """Result of the full parse pipeline, with non-fatal warnings."""
+    """A parsed script's spec, with its non-fatal warnings."""
 
     __slots__ = ("spec", "warnings")
 
-    def __init__(self, spec: JobSpec, warnings: list[str] | None = None):
+    def __init__(self, spec: JobSpec, warnings: list[str]):
         self.spec = spec
-        self.warnings = [] if warnings is None else warnings
+        self.warnings = warnings
 
 
 def validate_job_name(name: str) -> None:
@@ -246,48 +237,6 @@ def detect_dialect(script_text: str) -> Dialect:
     raise NoDirectives("script contains no #PBS or #SBATCH lines")
 
 
-def parse_directives(script_text: str, dialect: Dialect) -> tuple[list[Directive], list[str]]:
-    """Split a script into directives and body lines.
-
-    Every line starting with the dialect prefix becomes one or more
-    Directives (PBS ``-l`` lists split on commas); all other lines go to the
-    body in their original order.  CRLF is accepted and normalized to LF.
-    """
-    pbs = dialect is _PBS
-    prefix = PBS_PREFIX if pbs else SLURM_PREFIX
-    cut = len(prefix)
-    directives: list[Directive] = []
-    body: list[str] = []
-    # Directives are built by tuple.__new__, which skips the Python-level
-    # __new__ that namedtuple generates.
-    for line_no, line in enumerate(script_text.replace("\r\n", "\n").split("\n"), 1):
-        if not line.startswith(prefix):
-            body.append(line)
-            continue
-        if pbs:  # "-key value", or "-l item,item"
-            parts = line[cut:].split(None, 1)
-            key = parts[0] if parts else ""
-            value = parts[1].rstrip() if len(parts) > 1 else ""
-            if key[:1] != "-" or len(key) < 2:
-                raise MalformedDirective(f"cannot parse PBS directive {line!r}", line_no)
-            if key != "-l":
-                directives.append(tuple.__new__(Directive, (key[1:], value, line_no, line)))
-            elif not value:
-                raise MalformedDirective("-l directive with no resource list", line_no)
-            else:
-                for item in value.split(","):
-                    directives.append(tuple.__new__(Directive, ("l", item.strip(), line_no, line)))
-        else:  # "--key=value" or "--key value"
-            rest = line[cut:].strip()
-            key, eq, value = rest[2:].partition("=")
-            if not eq:  # split at the first run of whitespace
-                key, value = (key.split(None, 1) + ["", ""])[:2]
-            if not key or not rest.startswith("--"):
-                raise MalformedDirective(f"cannot parse SLURM directive {line!r}", line_no)
-            directives.append(tuple.__new__(Directive, (key, value.strip(), line_no, line)))
-    return directives, body
-
-
 def parse_walltime(text: str) -> int:
     """Parse a walltime string into total seconds.
 
@@ -297,13 +246,12 @@ def parse_walltime(text: str) -> int:
     text = text.strip()
     if not text:
         raise BadTimeFormat("empty walltime")
-    days = 0
+    day_part = ""
     clock = text
     if "-" in text:
         day_part, clock = text.split("-", 1)
         if not day_part.isdecimal():
             raise BadTimeFormat(f"bad day count in {text!r}")
-        days = int(day_part)
         if clock.count(":") != 2:
             raise BadTimeFormat(f"day form must be D-HH:MM:SS, got {text!r}")
     fields = clock.split(":")
@@ -311,7 +259,11 @@ def parse_walltime(text: str) -> int:
     # isdecimal, not isdigit, which also holds for digits int() refuses ('²').
     if "" in fields or not clock.replace(":", "").isdecimal():
         raise BadTimeFormat(f"non-numeric field in walltime {text!r}")
-    values = list(map(int, fields))
+    try:
+        days = int(day_part) if day_part else 0
+        values = list(map(int, fields))
+    except ValueError:  # int() refuses more than 4300 digits
+        raise BadTimeFormat(f"too many digits in walltime {text!r}") from None
     if len(values) == 1:  # a day count comes only with HH:MM:SS
         return values[0] * 60  # bare integer means minutes
     if len(values) > 3:
@@ -329,35 +281,38 @@ def render_walltime(seconds: int) -> str:
     return f"{hours}:{minutes:02d}:{secs:02d}"
 
 
-def _parse_count(value: str, what: str, line_no: int) -> int:
-    if not value.strip().isdecimal():
-        raise InvalidResource(f"{what} must be a positive integer, got {value!r}", line_no)
-    count = int(value)
+def _parse_count(value: str, what: str) -> int:
+    try:  # isdecimal, not isdigit ('²'); int() refuses more than 4300 digits
+        count = int(value) if value.strip().isdecimal() else None
+    except ValueError:
+        count = None
+    if count is None:
+        raise InvalidResource(f"{what} must be a positive integer, got {value!r}")
     if count < 1:
-        raise InvalidResource(f"{what} must be >= 1, got {count}", line_no)
+        raise InvalidResource(f"{what} must be >= 1, got {count}")
     return count
 
 
-def _parse_feature(tag: str, line_no: int) -> str:
+def _parse_feature(tag: str) -> str:
     tag = tag.strip()
     if not _FEATURE_RE.match(tag):
-        raise InvalidResource(f"feature tag {tag!r} is not lowercase alphanumeric", line_no)
+        raise InvalidResource(f"feature tag {tag!r} is not lowercase alphanumeric")
     return tag
 
 
-def _parse_pbs_nodes(value: str, line_no: int, slots: int, features: set[str]) -> tuple[int, int]:
+def _parse_pbs_nodes(value: str, slots: int, features: set[str]) -> tuple[int, int]:
     """Parse a PBS node spec like ``1:ppn=8`` or ``2:ppn=4:gpu`` into (nodes,
     slots per node), ``slots`` unless a ppn names it; tags go to ``features``."""
     segments = value.split(":")
-    nodes = _parse_count(segments[0], "nodes", line_no)
+    nodes = _parse_count(segments[0], "nodes")
     for segment in segments[1:]:
         seg_key, eq, seg_value = segment.partition("=")
         if seg_key == "ppn" and eq:
-            slots = _parse_count(seg_value, "ppn", line_no)
+            slots = _parse_count(seg_value, "ppn")
         elif eq:
-            raise InvalidResource(f"unsupported node property {segment!r}", line_no)
+            raise InvalidResource(f"unsupported node property {segment!r}")
         elif segment:
-            features.add(_parse_feature(segment, line_no))
+            features.add(_parse_feature(segment))
     return nodes, slots
 
 
@@ -373,79 +328,108 @@ def _warn(warnings: list[str], strict: bool, message: str, line_no: int) -> None
     warnings.append(f"line {line_no}: {message}")
 
 
-def normalize(
-    directives: list[Directive],
-    body: list[str],
-    dialect: Dialect,
+def parse_script(
+    script_text: str,
     *,
+    dialect: Dialect | None = None,
     default_name: str = DEFAULT_JOB_NAME,
     strict: bool = False,
-    warnings: list[str] | None = None,
-) -> JobSpec:
-    """Fold parsed directives into a JobSpec, applying defaults.
+) -> ParsedScript:
+    """Detect the dialect (unless forced), then read the script in one pass.
 
-    Unknown directives are collected into ``warnings`` (if given) unless
-    ``strict`` is set, in which case they raise MalformedDirective.  Absent
-    fields default to nodes=1, slots_per_node=1, walltime=3600 s and the
-    (truncated) ``default_name``; in strict mode a missing walltime is an
-    error instead.
+    Every line starting with the dialect's prefix is a directive (a PBS
+    ``-l`` list holds one per comma-separated item); all other lines go to
+    the body in their original order.  CRLF is accepted and normalized to LF.
+    Each directive is split and then applied.  A line that cannot be split
+    raises MalformedDirective at once; the first error in a directive's
+    meaning is raised only once every line has been split.
+
+    Unknown directives are warnings unless ``strict`` is set, in which case
+    they raise MalformedDirective.  Absent fields default to nodes=1,
+    slots_per_node=1, walltime=3600 s and the (truncated) ``default_name``;
+    in strict mode a missing walltime is an error instead.
     """
-    sink = warnings if warnings is not None else []
+    if dialect is None:
+        dialect = detect_dialect(script_text)
     pbs = dialect is _PBS
+    prefix = PBS_PREFIX if pbs else SLURM_PREFIX
+    cut = len(prefix)
+    body: list[str] = []
+    warnings: list[str] = []
+    error: ScriptError | None = None
     name: str | None = None
-    name_line = 0
+    name_line = walltime_line = 0
     nodes = slots = 1
     features: set[str] = set()
     walltime: int | None = None
-    walltime_line = 0
     merge = False
     stdout_template = ""
 
-    for key, value, line_no, _ in directives:
-        if pbs:
-            if key == "N":
+    for line_no, line in enumerate(script_text.replace("\r\n", "\n").split("\n"), 1):
+        if not line.startswith(prefix):
+            body.append(line)
+            continue
+        if pbs:  # "-key value", or "-l item,item"
+            parts = line[cut:].split(None, 1)
+            key = parts[0] if parts else ""
+            value = parts[1].rstrip() if len(parts) > 1 else ""
+            if key[:1] != "-" or len(key) < 2:
+                raise MalformedDirective(f"cannot parse PBS directive {line!r}", line_no)
+            if key == "-l" and not value:
+                raise MalformedDirective("-l directive with no resource list", line_no)
+        else:  # "--key=value" or "--key value"
+            rest = line[cut:].strip()
+            key, eq, value = rest[2:].partition("=")
+            if not eq:  # split at the first run of whitespace
+                key, value = (key.split(None, 1) + ["", ""])[:2]
+            if not key or not rest.startswith("--"):
+                raise MalformedDirective(f"cannot parse SLURM directive {line!r}", line_no)
+            value = value.strip()
+        try:
+            if pbs:
+                if key == "-N":
+                    name, name_line = value, line_no
+                elif key == "-l":
+                    for item in value.split(","):
+                        item = item.strip()
+                        res_key, eq, res_value = item.partition("=")
+                        if res_key == "nodes" and eq:
+                            nodes, slots = _parse_pbs_nodes(res_value, slots, features)
+                        elif res_key == "walltime" and eq:
+                            walltime, walltime_line = parse_walltime(res_value), line_no
+                        else:
+                            _warn(warnings, strict, f"ignoring resource item {item!r}", line_no)
+                elif key == "-j":
+                    if value == "oe":
+                        merge = True
+                    else:
+                        _warn(warnings, strict, f"ignoring join mode {value!r}", line_no)
+                else:
+                    _warn(warnings, strict, f"ignoring unknown directive {key}", line_no)
+            elif key == "job-name":
                 name, name_line = value, line_no
-            elif key == "l":
-                res_key, eq, res_value = value.partition("=")
-                if res_key == "nodes" and eq:
-                    nodes, slots = _parse_pbs_nodes(res_value, line_no, slots, features)
-                elif res_key == "walltime" and eq:
-                    try:
-                        walltime, walltime_line = parse_walltime(res_value), line_no
-                    except BadTimeFormat as exc:
-                        raise BadTimeFormat(str(exc), line_no) from None
-                else:
-                    _warn(sink, strict, f"ignoring resource item {value!r}", line_no)
-            elif key == "j":
-                if value == "oe":
-                    merge = True
-                else:
-                    _warn(sink, strict, f"ignoring join mode {value!r}", line_no)
-            else:
-                _warn(sink, strict, f"ignoring unknown directive -{key}", line_no)
-        elif key == "job-name":
-            name, name_line = value, line_no
-        elif key == "nodes":
-            nodes = _parse_count(value, "nodes", line_no)
-        elif key == "ntasks-per-node":
-            slots = _parse_count(value, "ntasks-per-node", line_no)
-        elif key == "time":
-            try:
+            elif key == "nodes":
+                nodes = _parse_count(value, "nodes")
+            elif key == "ntasks-per-node":
+                slots = _parse_count(value, "ntasks-per-node")
+            elif key == "time":
                 walltime, walltime_line = parse_walltime(value), line_no
-            except BadTimeFormat as exc:
-                raise BadTimeFormat(str(exc), line_no) from None
-        elif key == "output":
-            try:
+            elif key == "output":
                 validate_output_template(value)
-            except BadOutputTemplate as exc:
-                raise BadOutputTemplate(str(exc), line_no) from None
-            stdout_template = value
-        elif key == "constraint":
-            for tag in value.split(","):
-                features.add(_parse_feature(tag, line_no))
-        else:
-            _warn(sink, strict, f"ignoring unknown directive --{key}", line_no)
+                stdout_template = value
+            elif key == "constraint":
+                for tag in value.split(","):
+                    features.add(_parse_feature(tag))
+            else:
+                _warn(warnings, strict, f"ignoring unknown directive --{key}", line_no)
+        except ScriptError as exc:
+            if exc.line_no is None:
+                exc.line_no = line_no
+            if error is None:
+                error = exc
 
+    if error is not None:
+        raise error
     if name is None:
         name = default_name[:MAX_NAME_LEN] or DEFAULT_JOB_NAME
     else:
@@ -469,26 +453,10 @@ def normalize(
         output = _SLURM_DEFAULT_OUTPUT
 
     try:
-        return JobSpec(name, ResourceRequest(nodes, slots, frozenset(features)), walltime,
+        spec = JobSpec(name, ResourceRequest(nodes, slots, frozenset(features)), walltime,
                        output, tuple(body), dialect)
     except BadTimeFormat as exc:  # the walltime's range, checked by the spec
         raise BadTimeFormat(str(exc), walltime_line) from None
-
-
-def parse_script(
-    script_text: str,
-    *,
-    dialect: Dialect | None = None,
-    default_name: str = DEFAULT_JOB_NAME,
-    strict: bool = False,
-) -> ParsedScript:
-    """Full pipeline: detect dialect (unless forced), parse, normalize."""
-    if dialect is None:
-        dialect = detect_dialect(script_text)
-    directives, body = parse_directives(script_text, dialect)
-    warnings: list[str] = []
-    spec = normalize(directives, body, dialect, default_name=default_name, strict=strict,
-                     warnings=warnings)
     return ParsedScript(spec, warnings)
 
 

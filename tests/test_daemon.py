@@ -253,6 +253,7 @@ class TestSubmit:
         pytest.param("#SBATCH --time=\u00b2", "bad-time-format", id="clock field"),
         pytest.param("#SBATCH --time=\u00b2-01:00:00", "bad-time-format", id="day count"),
         pytest.param("#PBS -l nodes=\u00b2", "invalid-resource", id="node count"),
+        pytest.param("#SBATCH --time=" + "1" * 5000, "bad-time-format", id="5000 digits"),
     ])
     def test_digit_that_int_refuses_gets_an_error_reply(self, daemon, tmp_path, directive,
                                                         code):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 
 import pytest
 
@@ -19,6 +18,7 @@ from miniq.errors import (
     MissingWalltime,
     MixedDialects,
     NoDirectives,
+    ScriptError,
 )
 from miniq.jobspec import (
     MAX_WALLTIME_S,
@@ -28,7 +28,6 @@ from miniq.jobspec import (
     detect_dialect,
     expand_output_template,
     job_environment,
-    parse_directives,
     parse_script,
     parse_walltime,
     read_fields,
@@ -58,59 +57,85 @@ class TestDetectDialect:
 
 class TestParseDirectives:
     def test_pbs_resource_list(self):
-        directives, _ = parse_directives("#PBS -l nodes=1:ppn=8\n", Dialect.PBS)
-        assert directives[0].key == "l"
-        assert directives[0].value == "nodes=1:ppn=8"
+        spec = parse_script("#PBS -l nodes=1:ppn=8\n").spec
+        assert (spec.resources.nodes, spec.resources.slots_per_node) == (1, 8)
 
     def test_slurm_key_value(self):
-        directives, _ = parse_directives("#SBATCH --time=04:00:00\n", Dialect.SLURM)
-        assert directives[0].key == "time"
-        assert directives[0].value == "04:00:00"
+        assert parse_script("#SBATCH --time=04:00:00\n").spec.walltime_s == 14400
 
     def test_slurm_space_separated_value(self):
-        directives, _ = parse_directives("#SBATCH --nodes 2\n", Dialect.SLURM)
-        assert (directives[0].key, directives[0].value) == ("nodes", "2")
+        assert parse_script("#SBATCH --nodes 2\n").spec.resources.nodes == 2
 
     def test_module_load_stays_in_body(self):
-        _, body = parse_directives(PBS_SCRIPT, Dialect.PBS)
-        assert "module load pytorch/1.9" in body
+        assert "module load pytorch/1.9" in parse_script(PBS_SCRIPT).spec.body
 
     def test_shebang_and_blank_lines_preserved_in_order(self):
-        _, body = parse_directives(PBS_SCRIPT, Dialect.PBS)
+        body = parse_script(PBS_SCRIPT).spec.body
         assert body[0] == "#!/bin/bash"
         assert "" in body
 
     def test_pbs_comma_list_splits(self):
-        directives, _ = parse_directives(
-            "#PBS -l walltime=1:00:00,nodes=2:ppn=4\n", Dialect.PBS
-        )
-        assert [(d.key, d.value) for d in directives] == [
-            ("l", "walltime=1:00:00"),
-            ("l", "nodes=2:ppn=4"),
-        ]
+        parsed = parse_script("#PBS -l walltime=1:00:00,nodes=2:ppn=4,mem=4gb\n")
+        assert parsed.spec.walltime_s == 3600
+        assert (parsed.spec.resources.nodes, parsed.spec.resources.slots_per_node) == (2, 4)
+        assert parsed.warnings == ["line 1: ignoring resource item 'mem=4gb'"]
 
     def test_malformed_pbs_directive_reports_line(self):
         with pytest.raises(MalformedDirective) as excinfo:
-            parse_directives("#!/bin/bash\n#PBS nodes=1\n", Dialect.PBS)
+            parse_script("#!/bin/bash\n#PBS nodes=1\n")
         assert excinfo.value.line_no == 2
 
     def test_malformed_slurm_directive(self):
         with pytest.raises(MalformedDirective):
-            parse_directives("#SBATCH -N 1\n", Dialect.SLURM)
+            parse_script("#SBATCH -N 1\n")
 
     def test_crlf_normalized(self):
-        directives, body = parse_directives("#PBS -N x\r\necho hi\r\n", Dialect.PBS)
-        assert directives[0].value == "x"
-        assert body[0] == "echo hi"
+        spec = parse_script("#PBS -N x\r\necho hi\r\n").spec
+        assert spec.name == "x"
+        assert spec.body == ("echo hi", "")
 
     def test_body_fidelity_multiset(self):
-        # Directive raw lines (deduplicated per source line) plus body lines
-        # reproduce the input lines exactly.
-        for script, dialect in ((PBS_SCRIPT, Dialect.PBS), (SLURM_SCRIPT, Dialect.SLURM)):
-            directives, body = parse_directives(script, dialect)
-            directive_lines = {d.line_no: d.raw for d in directives}
-            rebuilt = Counter(directive_lines.values()) + Counter(body)
-            assert rebuilt == Counter(script.split("\n"))
+        # The body is exactly the lines that are not directives, in order.
+        for script, prefix in ((PBS_SCRIPT, "#PBS "), (SLURM_SCRIPT, "#SBATCH ")):
+            lines = script.split("\n")
+            body = parse_script(script).spec.body
+            assert body == tuple(line for line in lines if not line.startswith(prefix))
+            assert len(body) < len(lines)
+
+
+class TestErrorOrder:
+    """Every line is split before any error in a directive's meaning is
+    raised: a line that cannot be split wins, and of the rest the first."""
+
+    @pytest.mark.parametrize("script, strict", [
+        pytest.param("#!/bin/bash\n#PBS -l walltime=abc\necho\n#PBS nodes=1\n", False,
+                     id="bad walltime"),
+        pytest.param("#!/bin/bash\n#PBS -q batch\necho\n#PBS nodes=1\n", True,
+                     id="unknown directive, strict"),
+        pytest.param("#!/bin/bash\n#SBATCH --nodes=0\necho\n#SBATCH -N 1\n", False,
+                     id="bad count"),
+    ])
+    def test_a_line_that_cannot_be_split_is_raised_first(self, script, strict):
+        with pytest.raises(MalformedDirective, match="cannot parse") as excinfo:
+            parse_script(script, strict=strict)
+        assert excinfo.value.line_no == 4
+
+    @pytest.mark.parametrize("script, strict, error, line_no", [
+        pytest.param("#PBS -l walltime=abc\n#PBS -l nodes=0\n", False, BadTimeFormat, 1,
+                     id="walltime, then count"),
+        pytest.param("#PBS -l nodes=0\n#PBS -l walltime=abc\n", False, InvalidResource, 1,
+                     id="count, then walltime"),
+        pytest.param("#SBATCH --mem=4G\n#SBATCH --time=abc\n", True, MalformedDirective, 1,
+                     id="unknown directive, strict, then walltime"),
+        pytest.param("#SBATCH --output=%q\n#SBATCH --mem=4G\n", True, BadOutputTemplate, 1,
+                     id="template, then unknown directive, strict"),
+        pytest.param("#PBS -N a\n#PBS -l walltime=abc,nodes=0\n", False, BadTimeFormat, 2,
+                     id="two in one -l list"),
+    ])
+    def test_the_first_meaning_error_is_raised(self, script, strict, error, line_no):
+        with pytest.raises(ScriptError) as excinfo:
+            parse_script(script, strict=strict)
+        assert (type(excinfo.value), excinfo.value.line_no) == (error, line_no)
 
 
 class TestParseWalltime:
@@ -142,11 +167,16 @@ class TestParseWalltime:
         pytest.param("#SBATCH --time=\u00b2\n", BadTimeFormat, id="clock field"),
         pytest.param("#SBATCH --time=\u00b2-01:00:00\n", BadTimeFormat, id="day count"),
         pytest.param("#PBS -l nodes=\u00b2\n", InvalidResource, id="node count"),
+        pytest.param("#SBATCH --time=" + "1" * 5000, BadTimeFormat, id="5000-digit walltime"),
+        pytest.param("#SBATCH --nodes=" + "1" * 5000, InvalidResource, id="5000-digit nodes"),
+        pytest.param("#PBS -l nodes=" + "1" * 5000, InvalidResource, id="5000-digit PBS nodes"),
     ])
     def test_digit_that_int_refuses_is_a_script_error(self, line, error):
-        # str.isdigit holds for a superscript two; int() refuses it.
-        with pytest.raises(error):
+        # str.isdigit holds for a superscript two, and str.isdecimal for a
+        # string of more than 4300 digits; int() refuses both.
+        with pytest.raises(error) as excinfo:
             parse_script(line)
+        assert excinfo.value.line_no == 1
 
     def test_decimal_digits_of_other_scripts_still_parse(self):
         assert parse_walltime("\u0663") == 180  # ARABIC-INDIC DIGIT THREE, minutes

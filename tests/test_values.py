@@ -10,12 +10,11 @@ import sys
 import pytest
 
 from conftest import make_cluster, make_pbs_script, make_spec
-from miniq.jobspec import Dialect, Directive, JobSpec, OutputPolicy, ResourceRequest, parse_script
+from miniq.jobspec import Dialect, JobSpec, OutputPolicy, ResourceRequest, parse_script
 from miniq.journal import JournalEntry
 from miniq.sched import Outcome, StartEvent
 
 FROZEN = [
-    pytest.param(Directive, ("N", "job", 2, "#PBS -N job"), id="Directive"),
     pytest.param(ResourceRequest, (2, 4, frozenset({"gpu"})), id="ResourceRequest"),
     pytest.param(OutputPolicy, ("%x.o%j", "%x.e%j", False), id="OutputPolicy"),
     pytest.param(JobSpec, ("job", ResourceRequest(2, 4, frozenset({"gpu"})), 60,
