@@ -420,6 +420,8 @@ class Daemon:
 
         A reader thread watches the same connection for a detach request (or
         client disconnect) and unsubscribes, which terminates the stream.
+        Output the ring holds already is sent before that thread starts, and
+        it starts before the stream first waits, so a detach is seen at once.
         """
 
         def watch_for_detach():
@@ -436,18 +438,20 @@ class Daemon:
                     return
 
         watcher = threading.Thread(target=watch_for_detach, daemon=True)
-        watcher.start()
+        timeout = 0  # the first read does not wait
         try:
             while True:
-                chunk = attachment.read(timeout=0.5)
-                if chunk == b"":
-                    if self._stop.is_set():
-                        return
-                    continue
+                chunk = attachment.read(timeout=timeout)
                 if chunk is None:
                     protocol.send_message(sock, end_frame(attachment.end_reason or "exit"))
                     return
-                protocol.send_message(sock, data_frame(chunk))
+                if chunk:
+                    protocol.send_message(sock, data_frame(chunk))
+                elif self._stop.is_set():
+                    return
+                if not timeout:
+                    watcher.start()
+                    timeout = 0.5
         except OSError:
             try:
                 self.sessions.detach(name, attachment)

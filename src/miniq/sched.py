@@ -138,15 +138,13 @@ def status_row(rec: JobRecord, now: float) -> str:
     else:
         elapsed = None
     spec = rec.spec
-    text = _encode({
-        "id": rec.id,
-        "name": spec.name,
-        "state": state.value,
-        "nodes": spec.resources.nodes,
-        "slots_per_node": spec.resources.slots_per_node,
-        "elapsed_s": elapsed,
-        "limit_s": spec.walltime_s,
-    })
+    resources = spec.resources
+    # The text _encode gives the row's dict, built without the dict: only
+    # the name needs quoting, and every other value is an int or a state code.
+    text = (f'{{"id":{rec.id},"name":{_encode(spec.name)},"state":"{state.value}",'
+            f'"nodes":{resources.nodes},"slots_per_node":{resources.slots_per_node},'
+            f'"elapsed_s":{"null" if elapsed is None else elapsed},'
+            f'"limit_s":{spec.walltime_s}}}')
     if state is not JobStatus.RUNNING:
         rec.row = (state, text)
     return text

@@ -17,8 +17,9 @@ import pytest
 from conftest import make_pbs_script, make_slurm_script, wait_until
 from miniq import cli
 from miniq.cli import Client
-from miniq import errors
+from miniq import errors, protocol
 from miniq.daemon import Daemon
+from miniq.runtime import READ_BYTES
 from test_daemon import TOKEN, daemon_config
 
 pytestmark = pytest.mark.usefixtures("client_env")
@@ -328,6 +329,55 @@ class TestInteractiveAttach:
         assert rows[0]["name"] == "steady"
         assert rows[0]["live"] is True and rows[0]["attached"] == 0
         cli.main(["session", "kill", "steady"])
+
+
+class TestReadBuffer:
+    def test_a_whole_data_frame_takes_at_most_two_receives(self, monkeypatch):
+        class CountingSocket(socket.socket):
+            receives = 0
+
+            def recv_into(self, *args):
+                self.receives += 1
+                return super().recv_into(*args)
+
+        create_connection = socket.create_connection
+
+        def counting_connection(*args, **kwargs):
+            sock = create_connection(*args, **kwargs)
+            return CountingSocket(sock.family, sock.type, sock.proto, fileno=sock.detach())
+
+        monkeypatch.setattr(cli.socket, "create_connection", counting_connection)
+        frame = protocol.data_frame(b"\0" * READ_BYTES)
+        sent = threading.Event()
+
+        def serve(listener):
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                protocol.read_message(reader)  # auth
+                protocol.send_message(conn, protocol.ok())
+                protocol.read_message(reader)  # the go-ahead: the frame comes after auth's reply
+                protocol.send_message(conn, frame)
+                sent.set()
+                protocol.read_message(reader)  # EOF once the client closes
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            server = threading.Thread(target=serve, args=(listener,), daemon=True)
+            server.start()
+            client = Client(f"127.0.0.1:{listener.getsockname()[1]}", "t")
+            client.connect()
+            try:
+                assert isinstance(client.sock, CountingSocket)
+                protocol.send_message(client.sock, {"type": "go"})
+                assert sent.wait(5)
+                client.sock.receives = 0
+                message = protocol.read_message(client.reader)
+                receives = client.sock.receives
+            finally:
+                client.close()
+            server.join(timeout=5)
+        assert not server.is_alive()
+        assert protocol.decode_data_frame(message) == b"\0" * READ_BYTES
+        assert receives <= 2
 
 
 class TestDetachChord:

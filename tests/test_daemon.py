@@ -934,6 +934,64 @@ class TestSessionsOverWire:
         assert b"".join(chunks) == output[-DEFAULT_RING_CAPACITY:]
         assert frames[-1]["reason"] == "exit"
 
+    def test_replay_sends_its_first_frame_before_the_watcher_starts(self, daemon, monkeypatch):
+        client = connect(daemon)
+        client.request({"type": "session_create", "name": "full",
+                        "command": ["head", "-c", str(2 * DEFAULT_RING_CAPACITY), "/dev/zero"]})
+
+        def ended():
+            rows = client.request({"type": "session_list"})["payload"]["sessions"]
+            return not rows[0]["live"]
+
+        assert wait_until(ended, 5)
+        client.close()
+        # What the daemon writes, and each thread it starts, in order.
+        events = []
+        send_message, start = protocol.send_message, threading.Thread.start
+
+        def recording_send(sock, message):
+            if isinstance(message, bytes):
+                events.append(json.loads(message)["type"])
+            else:
+                events.append("attached" if "truncated" in message.get("payload", {})
+                              else message.get("type", "reply"))
+            send_message(sock, message)
+
+        def recording_start(thread):
+            events.append("thread")
+            start(thread)
+
+        monkeypatch.setattr(protocol, "send_message", recording_send)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        attach_client = connect(daemon)
+        assert attach_client.request({"type": "attach", "name": "full"})["ok"]
+        frames = []
+        while not frames or frames[-1]["type"] == "data":
+            frames.append(protocol.read_message(attach_client.reader))
+        attach_client.close()
+        count = DEFAULT_RING_CAPACITY // READ_BYTES
+        assert [frame["type"] for frame in frames] == ["data"] * count + ["end"]
+        stream = events[events.index("attached") + 1:]
+        assert stream == ["data", "thread"] + ["data"] * (count - 1) + ["end"]
+
+    def test_detach_from_a_silent_session_ends_the_stream_at_once(self, daemon):
+        client = connect(daemon)
+        client.request({"type": "session_create", "name": "silent",
+                        "command": ["sleep", "30"]})
+        attach_client = connect(daemon)
+        assert attach_client.request({"type": "attach", "name": "silent"})["ok"]
+        t0 = time.perf_counter()
+        protocol.send_message(attach_client.sock, {"type": "detach"})
+        frame = protocol.read_message(attach_client.reader)
+        elapsed = time.perf_counter() - t0
+        attach_client.close()
+        assert frame == {"type": "end", "reason": "detached"}
+        # The stream waits for output in turns of 0.5 s; a watcher started
+        # only after the first of them would see the detach that late.
+        assert elapsed < 0.1
+        client.request({"type": "session_kill", "name": "silent"})
+        client.close()
+
     def test_stalled_attach_holds_the_session_back(self, daemon, tmp_path):
         size = 32 * 1024 * 1024
         go = tmp_path / "go"

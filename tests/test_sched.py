@@ -18,6 +18,7 @@ from conftest import make_cluster, make_spec
 from harness import run_cluster
 from miniq import journal, sched
 from miniq.errors import InvalidTransition, NoSuchJob, Unsatisfiable
+from miniq.jobspec import JobSpec
 from miniq.sched import (
     ClusterState,
     JobStatus,
@@ -859,6 +860,41 @@ class TestRowCache:
                                            for rec in state.jobs.values()]
         assert taken == {"submit", "tick", "exit", "timeout", "cancel-pending",
                          "cancel-running", "snapshot"}
+
+    def test_row_text_is_the_encoded_dict(self):
+        """A row is byte for byte the compact encoding of its dict, whatever
+        the name holds: the spec is built without the name check, so
+        backslashes and control characters reach the row too."""
+        rng = random.Random(29)
+        alphabet = 'aZ9_-."\\/éλ\U0001f600\x00\x1f\x7f \ud800 \t\n'
+        elapsed_seen = set()
+        for job_id in range(1, 3001):
+            name = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+            spec = JobSpec._make((name, ResourceRequest(rng.randint(1, 64), rng.randint(1, 128)),
+                                  rng.randint(1, 10**7), None, (), None))
+            state = rng.choice(list(JobStatus))
+            start = end = None
+            now = rng.choice((0.0, 5.5, 10.0**6))
+            if state is JobStatus.RUNNING:
+                start = now - rng.choice((0.0, 0.9, 59.5, 10.0**6))
+            elif state is not JobStatus.PENDING and rng.random() < 0.8:
+                start = rng.uniform(0, 100)
+                end = start + rng.choice((0.0, 0.4, 3600.0, 10.0**9))
+            rec = sched.JobRecord(job_id * rng.choice((1, 10**9)), spec, "/tmp", state,
+                                  start_time=start, end_time=end)
+            if state is JobStatus.RUNNING:
+                elapsed = int(now - start)
+            elif start is not None and end is not None:
+                elapsed = int(end - start)
+            else:
+                elapsed = None
+            elapsed_seen.add(elapsed if elapsed in (None, 0) else "large" if elapsed > 10**5
+                             else "other")
+            assert sched.status_row(rec, now) == sched._encode({
+                "id": rec.id, "name": name, "state": state.value,
+                "nodes": spec.resources.nodes, "slots_per_node": spec.resources.slots_per_node,
+                "elapsed_s": elapsed, "limit_s": spec.walltime_s}), name
+        assert elapsed_seen == {None, 0, "large", "other"}
 
 
 class TestOracleAgreement:
