@@ -107,7 +107,7 @@ class Client:
         try:
             send_message(self.sock, message)
             response = read_message(self.reader)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, ProtocolError) as exc:
             raise CommandFailed(EXIT_CONN, f"connection error: {exc}") from exc
         if response is None:
             raise CommandFailed(EXIT_CONN, "server closed the connection")
@@ -339,7 +339,7 @@ def cmd_session_attach(args) -> int:
                 reason = frame.get("reason")
                 print("[detached]" if reason == "detached" else "[session ended]")
                 return EXIT_OK
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ProtocolError) as exc:
         print(f"miniq: connection error: {exc}", file=sys.stderr)
         return EXIT_CONN
     finally:

@@ -29,6 +29,7 @@ from .errors import (
     InvalidField,
     JournalCorrupt,
     MiniqError,
+    NotAttached,
     ProtocolError,
     ScriptError,
     ShuttingDown,
@@ -187,7 +188,10 @@ class Daemon:
             self._threads.append(thread)
 
     def shutdown(self) -> None:
-        """Stop loops, kill child processes, drain the journal, release sockets."""
+        """Stop the loops and release the listener, then, under one hold of
+        the lock, SIGKILL and reap every leader the daemon still has (the
+        dying, running jobs' and live sessions') in one sweep and close the
+        journal."""
         self._stop.set()
         if self._listener is not None:
             try:
@@ -195,11 +199,9 @@ class Daemon:
             except OSError:
                 pass
         with self._mu:
-            running = [(rec.proc, 0.0) for _, _, rec in self.state.releases
-                       if rec.proc is not None]
-            self._dying = kill_after_grace(self._dying + running, math.inf)
-        self.sessions.shutdown()
-        with self._mu:
+            leaders = [rec.proc for _, _, rec in self.state.releases if rec.proc is not None]
+            leaders += self.sessions.live_leaders()
+            self._dying = kill_after_grace(self._dying + [(p, 0.0) for p in leaders], math.inf)
             self.journal.close()
 
     # ----- scheduling loop -------------------------------------------- #
@@ -222,7 +224,7 @@ class Daemon:
             for job_id, code in collect_exits(rec for _, _, rec in self.state.releases):
                 self._end(job_id, Outcome.exit(code), now)
             for job_id in poll_walltime((rec for _, _, rec in self.state.releases), now):
-                self._dying.append((self._end(job_id, Outcome.timeout(), now), now))
+                self._end(job_id, Outcome.timeout(), now)
             self._dying = kill_after_grace(self._dying, now)
 
             for name in self.sessions.drain_ended():
@@ -245,14 +247,17 @@ class Daemon:
             raise ShuttingDown("the daemon is shutting down")
         return self._clock() if now is None else now
 
-    def _end(self, job_id: int, outcome: Outcome, now: float) -> Popen | None:
-        """End a job: apply ``outcome``, journal its ``ended`` entry, and take
-        the process from its record.  Returns that process, or None for a job
-        that never had one; signalling it is the caller's part."""
+    def _end(self, job_id: int, outcome: Outcome, now: float) -> None:
+        """End a job for any cause: apply ``outcome``, journal its ``ended``
+        entry and take the process from its record.  A leader not yet reaped
+        (a timeout, a running cancel) gets SIGTERM to its group and joins the
+        dying, for the tick to SIGKILL the group after the grace."""
         rec = self.state.transition(job_id, outcome, now)
         proc, rec.proc = rec.proc, None
         self.journal.ended(rec, now)
-        return proc
+        if proc is not None and proc.returncode is None:
+            terminate(proc)
+            self._dying.append((proc, now))
 
     # ----- request handling -------------------------------------------- #
 
@@ -299,11 +304,7 @@ class Daemon:
     def _handle_cancel(self, message: dict):
         (job_id,) = read_fields(message, (("job_id", int, REQUIRED),))
         with self._mu:
-            now = self._admit()
-            proc = self._end(job_id, Outcome.cancel(), now)
-            if proc is not None:
-                terminate(proc)
-                self._dying.append((proc, now))
+            self._end(job_id, Outcome.cancel(), self._admit())
         return ok({"job_id": job_id, "state": JobStatus.CANCELLED.value}), None
 
     def _handle_session_create(self, message: dict):
@@ -323,6 +324,7 @@ class Daemon:
             now = self._admit()
             proc, unjournaled = self.sessions.kill(name)
             if proc is not None:
+                terminate(proc)
                 self._dying.append((proc, now))
             if unjournaled:
                 self.journal.session_ended(name, now)
@@ -357,10 +359,12 @@ class Daemon:
             thread.start()
 
     def _serve_connection(self, sock: socket.socket) -> None:
+        """Serve one connection: its first message must present the token,
+        and every later one is a request, until EOF, an unreadable message
+        or an attach, which consumes the rest of the connection."""
         reader = sock.makefile("rb")
+        authenticated = False
         try:
-            if not self._authenticate(sock, reader):
-                return
             while not self._stop.is_set():
                 try:
                     message = protocol.read_message(reader)
@@ -369,15 +373,21 @@ class Daemon:
                     return
                 if message is None:
                     return
-                if message.get("type") == "detach":
+                if not authenticated:
+                    if not _presents_token(message, self.config.token):
+                        protocol.send_message(sock, err("auth-failed", "bad or missing token"))
+                        return
+                    authenticated = True
+                    response, attachment = ok({"server": "miniqd"}), None
+                elif message.get("type") == "detach":
                     # Only meaningful while this connection streams an attach;
                     # handled inside _stream_attachment.
-                    protocol.send_message(sock, err("not-attached", "no attach on this connection"))
-                    continue
-                response, attachment = self.handle_request(message)
+                    response, attachment = err(NotAttached.code, "no attach on this connection"), None
+                else:
+                    response, attachment = self.handle_request(message)
                 protocol.send_message(sock, response)
                 if attachment is not None:
-                    self._stream_attachment(sock, reader, message["name"], attachment)
+                    self._stream_attachment(sock, reader, attachment)
                     return  # attach consumes the rest of the connection
         except OSError:
             pass  # client went away mid-conversation
@@ -391,35 +401,11 @@ class Daemon:
             except OSError:
                 pass
 
-    def _authenticate(self, sock: socket.socket, reader) -> bool:
-        """First message on a connection must present the shared token,
-        compared as UTF-8 bytes in constant time."""
-        try:
-            message = protocol.read_message(reader)
-        except ProtocolError as exc:
-            protocol.send_message(sock, err(exc.code, str(exc)))
-            return False
-        if message is None:
-            return False
-        token = message.get("token", "") if message.get("type") == "auth" else ""
-        try:
-            accepted = (isinstance(token, str) and token
-                        and _compare_digest(token.encode(), self.config.token.encode()))
-        except UnicodeEncodeError:
-            # Only the wire token can hold a lone surrogate ("\ud800" decodes
-            # to one): DaemonConfig refuses such a configured token.
-            accepted = False
-        if not accepted:
-            protocol.send_message(sock, err("auth-failed", "bad or missing token"))
-            return False
-        protocol.send_message(sock, ok({"server": "miniqd"}))
-        return True
-
-    def _stream_attachment(self, sock, reader, name: str, attachment) -> None:
+    def _stream_attachment(self, sock, reader, attachment) -> None:
         """Forward session output as data frames until the stream ends.
 
         A reader thread watches the same connection for a detach request (or
-        client disconnect) and unsubscribes, which terminates the stream.
+        client disconnect) and detaches, which terminates the stream.
         Output the ring holds already is sent before that thread starts, and
         it starts before the stream first waits, so a detach is seen at once.
         """
@@ -431,10 +417,7 @@ class Daemon:
                 except (ProtocolError, OSError, ValueError):
                     message = None
                 if message is None or message.get("type") == "detach":
-                    try:
-                        self.sessions.detach(name, attachment)
-                    except MiniqError:
-                        pass  # stream already ended
+                    self.sessions.detach(attachment)
                     return
 
         watcher = threading.Thread(target=watch_for_detach, daemon=True)
@@ -453,10 +436,20 @@ class Daemon:
                     watcher.start()
                     timeout = 0.5
         except OSError:
-            try:
-                self.sessions.detach(name, attachment)
-            except MiniqError:
-                pass
+            self.sessions.detach(attachment)
+
+
+def _presents_token(message: dict, token: str) -> bool:
+    """Whether a connection's first message is an auth with ``token``,
+    compared as UTF-8 bytes in constant time."""
+    given = message.get("token") if message.get("type") == "auth" else None
+    try:
+        return (isinstance(given, str) and given != ""
+                and _compare_digest(given.encode(), token.encode()))
+    except UnicodeEncodeError:
+        # Only the wire token can hold a lone surrogate ("\ud800" decodes
+        # to one): DaemonConfig refuses such a configured token.
+        return False
 
 
 USAGE = "usage: miniqd [-h] --config PATH"

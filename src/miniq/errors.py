@@ -98,6 +98,9 @@ class UnknownSession(MiniqError):
 
 
 class NotAttached(MiniqError):
+    """Never raised: its code answers a ``detach`` on a connection that
+    streams no attach."""
+
     code = "not-attached"
 
 

@@ -144,9 +144,12 @@ class Journal:
     def append(self, event: str, data: dict, at: float) -> JournalEntry:
         entry = JournalEntry(seq=self._next_seq, at=at, event=event, data=data)
         self._fh.write(entry.to_json().encode("utf-8") + b"\n")
+        # The line is the file's now, whether or not the flush or the fsync
+        # fails: the next entry must not reuse its seq.  A line that never
+        # fully reaches the file is a torn tail, which recovery discards.
+        self._next_seq += 1
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        self._next_seq += 1
         return entry
 
     def submitted(self, rec: JobRecord, at: float) -> JournalEntry:

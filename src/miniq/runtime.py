@@ -11,7 +11,6 @@ replay everything (up to capacity) before following the live stream.
 
 from __future__ import annotations
 
-import math
 import os
 import signal
 import subprocess
@@ -23,7 +22,6 @@ from subprocess import Popen
 from .errors import (
     DuplicateSession,
     InvalidCommand,
-    NotAttached,
     SpawnFailed,
     UnknownSession,
 )
@@ -153,15 +151,10 @@ def launch_job(spec: JobSpec, job_id: int, submit_dir: str) -> Popen:
 
 
 def poll_walltime(recs: Iterable[JobRecord], now: float) -> list[int]:
-    """SIGTERM each running job strictly past ``start_time + walltime``;
-    returns their ids, for the caller to end them and list them as dying.
-    A job using exactly its limit is spared."""
-    timed_out: list[int] = []
-    for rec in recs:
-        if now > rec.start_time + rec.spec.walltime_s and rec.proc.returncode is None:
-            terminate(rec.proc)
-            timed_out.append(rec.id)
-    return timed_out
+    """The ids of the running jobs strictly past ``start_time + walltime``.
+    It signals none of them: ending them, SIGTERM included, is the caller's
+    part.  A job using exactly its limit is spared."""
+    return [rec.id for rec in recs if now > rec.start_time + rec.spec.walltime_s]
 
 
 def collect_exits(recs: Iterable[JobRecord]) -> list[tuple[int, int]]:
@@ -378,20 +371,18 @@ class SessionRegistry:
                 attachment.end_reason = "exit"
             return attachment
 
-    def detach(self, name: str, attachment: Attachment) -> None:
-        """Drop one client; the process and ring are untouched.  Bytes not yet
-        sent to it are dropped from its stream; they stay in the ring.  The
-        session is the attachment's own, so a client of a killed session,
-        whose pump may be waiting for it, can still detach."""
+    def detach(self, attachment: Attachment) -> None:
+        """Drop one client if it is still attached, else do nothing: its
+        stream may have ended already.  The process and ring are untouched.
+        Bytes not yet sent to it are dropped from its stream; they stay in
+        the ring.  The session is the attachment's own, so a client of a
+        killed session, whose pump may be waiting for it, can still detach."""
         with self._lock:
             session = attachment.session
-            if attachment not in session.attachments:
-                if name not in self._sessions:
-                    raise UnknownSession(f"no session named {name!r}")
-                raise NotAttached(f"not attached to session {name!r}")
-            session.attachments.remove(attachment)
-            attachment.end_reason = "detached"
-            session.changed.notify_all()
+            if attachment in session.attachments:
+                session.attachments.remove(attachment)
+                attachment.end_reason = "detached"
+                session.changed.notify_all()
 
     def rows(self) -> list[dict]:
         with self._lock:
@@ -407,19 +398,17 @@ class SessionRegistry:
             ]
 
     def kill(self, name: str) -> tuple[Popen | None, bool]:
-        """Drop the name and SIGTERM the process group.  Returns the process
-        if it was live, for the caller's dying list, and whether the end is
-        still to be journaled: not once ``drain_ended`` reported it.  Attached
-        clients read what the ring holds, then the end once the process dies."""
+        """Drop the name.  Returns the session's leader if it is live, for
+        the caller to signal, and whether the end is still to be journaled:
+        not once ``drain_ended`` reported it.  Attached clients read what the
+        ring holds, then the end once the leader dies."""
         with self._lock:
             session = self._sessions.pop(name, None)
             if session is None:
                 raise UnknownSession(f"no session named {name!r}")
             if not session.live:
                 return None, session.lost or session in self._ended_unreported
-            proc = session.proc
-        terminate(proc)
-        return proc, True
+            return session.proc, True
 
     def adopt_lost(self, name: str, created_at: float) -> None:
         """Register a tombstone for a session that did not survive a restart."""
@@ -437,9 +426,7 @@ class SessionRegistry:
             self._ended_unreported = []
             return [s.name for s in ended if self._sessions.get(s.name) is s]
 
-    def shutdown(self) -> None:
-        """Kill every live session process (daemon-owned children do not
-        outlive the daemon)."""
+    def live_leaders(self) -> list[Popen]:
+        """The leaders of the registered sessions that are still live."""
         with self._lock:
-            live = [(s.proc, 0.0) for s in self._sessions.values() if s.live]
-        kill_after_grace(live, math.inf)
+            return [s.proc for s in self._sessions.values() if s.live]

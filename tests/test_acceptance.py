@@ -313,7 +313,7 @@ def test_detach_reattach_integrity():
         chunk = first.read(timeout=5)
         assert chunk is not None, "stream ended before line 50"
         seen += chunk
-    registry.detach("numbers", first)
+    registry.detach(first)
 
     session = registry._sessions["numbers"]
     line70 = b"".join(b"%d\n" % i for i in range(1, 71))

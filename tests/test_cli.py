@@ -380,6 +380,37 @@ class TestReadBuffer:
         assert receives <= 2
 
 
+class TestUnreadableReply:
+    @pytest.mark.parametrize("argv", [["stat"], ["session", "attach", "s"]],
+                             ids=["request", "attach stream"])
+    @pytest.mark.parametrize("reply", [b"[" * 2000 + b"\n", b"{not json\n"],
+                             ids=["over the line limit", "not JSON"])
+    def test_unreadable_reply_exits_as_a_connection_error(self, monkeypatch, capsys,
+                                                          argv, reply):
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 1024)
+
+        def serve(listener):
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                protocol.read_message(reader)  # auth
+                protocol.send_message(conn, protocol.ok())
+                protocol.read_message(reader)  # the request
+                if argv[0] == "session":
+                    protocol.send_message(conn, protocol.ok({"name": "s"}))
+                conn.sendall(reply)
+                reader.read()  # EOF once the client closes
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            server = threading.Thread(target=serve, args=(listener,), daemon=True)
+            server.start()
+            address = f"127.0.0.1:{listener.getsockname()[1]}"
+            code = cli.main(["--server", address, "--token", "t", *argv])
+            server.join(timeout=5)
+        assert not server.is_alive()
+        assert code == cli.EXIT_CONN
+        assert "connection error: message" in capsys.readouterr().err
+
+
 class TestDetachChord:
     def test_ctrl_a_d_sends_detach(self, monkeypatch):
         # Feed the watcher a pty that receives Ctrl+A then 'd'.

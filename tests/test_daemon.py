@@ -611,6 +611,39 @@ class TestEndPath:
             daemon.shutdown()
 
 
+class TestOneTerm:
+    @pytest.mark.parametrize("cause", ["timeout", "cancel"])
+    def test_an_end_sends_one_term_and_lists_the_leader_dying(self, tmp_path, cause):
+        # The shell counts each TERM it gets and keeps running, so its
+        # leader stays unreaped until the grace has passed.
+        terms, ready = tmp_path / "terms", tmp_path / "ready"
+        body = f"trap 'echo TERM >> {terms}' TERM\ntouch {ready}\nwhile :; do sleep 0.05; done"
+        daemon = Daemon(daemon_config(tmp_path, slots=1, nodes=1))
+        try:
+            response, _ = daemon.handle_request({
+                "type": "submit", "submit_dir": str(tmp_path),
+                "script": make_pbs_script("trapper", 1, 1, 1, body=body)})
+            rec = daemon.state.jobs[response["payload"]["job_id"]]
+            now = daemon._clock()
+            daemon.tick_once(now)
+            leader = rec.proc
+            assert wait_until(ready.exists, 5)
+            if cause == "timeout":
+                daemon.tick_once(now + 1.5)  # past the 1 s walltime
+            else:
+                daemon.handle_request({"type": "cancel", "job_id": rec.id})
+            daemon.tick_once(now + 1.6)  # within the grace: no second signal
+            assert wait_until(terms.exists, 5)
+            time.sleep(0.3)
+            assert terms.read_text() == "TERM\n"
+            assert rec.state.value == {"timeout": "TO", "cancel": "CA"}[cause]
+            assert [proc for proc, _ in daemon._dying] == [leader]
+            assert leader.returncode is None and process_alive(leader.pid)
+        finally:
+            daemon.shutdown()
+        assert leader.returncode == -signal.SIGKILL
+
+
 class HandClock:
     """A daemon clock that moves only when the test advances it."""
 
@@ -1517,42 +1550,42 @@ class TestTickLoop:
         assert "Traceback (most recent call last):" in err
         assert "RuntimeError: tick failed" in err
 
-    def test_tick_that_waited_out_the_shutdown_sweep_starts_nothing(self, tmp_path,
-                                                                     monkeypatch):
+    def test_tick_that_waited_out_the_shutdown_sweep_starts_nothing(self, tmp_path):
         # The tick leaves its wait just before the stop and waits for the
-        # lock while shutdown kills every running job; here it gets the lock
-        # only once shutdown has moved on to the sessions.  A job it started
-        # then would outlive the daemon.
+        # lock while shutdown sweeps every leader and closes the journal;
+        # here it gets the lock only once shutdown has returned.  A job it
+        # started then would outlive the daemon.
         daemon = Daemon(daemon_config(tmp_path, tick=0.01))
         entered, go, ticked = threading.Event(), threading.Event(), threading.Event()
         tick_once = daemon.tick_once
 
         def parked_tick():
             entered.set()
-            go.wait(5)  # a shutdown that waited for this tick goes on after the timeout
+            go.wait(5)
             tick_once()
             ticked.set()
 
-        sessions_shutdown = daemon.sessions.shutdown
+        def submit(name):
+            response, _ = daemon.handle_request({
+                "type": "submit", "submit_dir": str(tmp_path),
+                "script": make_pbs_script(name, 1, 1, 600, body="sleep 30")})
+            return daemon.state.jobs[response["payload"]["job_id"]]
 
-        def shutdown_sessions():
-            go.set()
-            ticked.wait(5)
-            sessions_shutdown()
-
+        running = submit("running")
+        daemon.tick_once()
+        leader = running.proc
+        late = submit("late")
         daemon.tick_once = parked_tick
-        monkeypatch.setattr(daemon.sessions, "shutdown", shutdown_sessions)
-        response, _ = daemon.handle_request({
-            "type": "submit", "submit_dir": str(tmp_path),
-            "script": make_pbs_script("late", 1, 1, 600, body="sleep 30")})
         daemon.start()
         assert entered.wait(5)
         daemon.shutdown()
-        assert ticked.is_set()
-        proc = daemon.state.jobs[response["payload"]["job_id"]].proc
+        go.set()
+        assert ticked.wait(5)
         try:
-            assert proc is None or not process_alive(proc.pid)
+            assert leader.returncode == -signal.SIGKILL  # swept and reaped
+            assert (late.state, late.proc) == (JobStatus.PENDING, None)
         finally:
-            if proc is not None and proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
+            for proc in (leader, late.proc):
+                if proc is not None and proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.wait()

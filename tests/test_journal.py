@@ -8,6 +8,7 @@ import random
 import pytest
 
 from conftest import assert_all_slots_free, make_pbs_script, make_spec
+from miniq import journal as journal_mod
 from miniq.errors import JournalCorrupt
 from miniq.jobspec import parse_script
 from miniq.journal import EVENT_SESSION_ENDED, Journal, read_entries, recover
@@ -233,6 +234,24 @@ class TestJournalFile:
         entries = read_entries(str(path))
         assert [e.seq for e in entries] == [1, 2]
         assert entries[1].event == EVENT_SESSION_ENDED
+
+    def test_failed_fsync_leaves_the_journal_recoverable(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "j")
+        journal = Journal(path)
+        journal.session_created("a", 0.0)
+        fsync = journal_mod.os.fsync
+
+        def failing_once(fd):
+            monkeypatch.setattr(journal_mod.os, "fsync", fsync)
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(journal_mod.os, "fsync", failing_once)
+        with pytest.raises(OSError):
+            journal.session_created("b", 1.0)  # the line is in the file all the same
+        assert journal.session_ended("a", 2.0).seq == 3
+        journal.close()
+        recovered = recover(path, fresh_nodes())
+        assert (recovered.next_seq, recovered.lost_sessions) == (4, [("b", 1.0)])
 
     @pytest.mark.parametrize("seq, write, line", ENTRY_FORMATS)
     def test_entry_format(self, tmp_path, seq, write, line):

@@ -16,7 +16,6 @@ from conftest import gated, process_alive, ring_bytes, stream, wait_until
 from miniq.errors import (
     DuplicateSession,
     InvalidCommand,
-    NotAttached,
     SpawnFailed,
     UnknownSession,
 )
@@ -31,6 +30,7 @@ from miniq.runtime import (
     kill_after_grace,
     launch_job,
     poll_walltime,
+    terminate,
 )
 from miniq.sched import JobRecord, JobStatus
 
@@ -101,7 +101,9 @@ class TestWalltime:
         job.start_time -= spec.walltime_s + 0.01  # already past
         events = poll_walltime([job], time.monotonic())
         assert events == [job.id]
-        assert job.proc.wait(timeout=5) is not None
+        assert job.proc.poll() is None  # selected, not signalled
+        terminate(job.proc)
+        assert job.proc.wait(timeout=5) == -signal.SIGTERM
 
     def test_exact_deadline_not_killed(self, tmp_path):
         spec, job = launch(tmp_path, "sleep 1\n")
@@ -121,6 +123,7 @@ class TestWalltime:
         job.start_time -= spec.walltime_s + 0.01
         now = time.monotonic()
         assert poll_walltime([job], now) == [job.id]
+        terminate(job.proc)
         dying = [(job.proc, now)]
         assert kill_after_grace(dying, now + GRACE_SECONDS - 0.1) == dying
         time.sleep(0.1)
@@ -266,7 +269,7 @@ class TestSessions:
         registry.create("dup", ["sleep", "5"], now=0.0)
         with pytest.raises(DuplicateSession):
             registry.create("dup", ["sleep", "5"], now=1.0)
-        registry.shutdown()
+        terminate(registry.kill("dup")[0])
 
     def test_empty_command_rejected(self):
         with pytest.raises(InvalidCommand):
@@ -294,20 +297,33 @@ class TestSessions:
         session = registry.create("stayalive", py_counter(200, delay=0.02), now=0.0)
         pid = session.proc.pid
         attachment = registry.attach("stayalive")
-        registry.detach("stayalive", attachment)
+        registry.detach(attachment)
         assert session.proc.poll() is None
         assert session.proc.pid == pid
         assert session.attachments == []
-        with pytest.raises(NotAttached):
-            registry.detach("stayalive", attachment)
-        registry.kill("stayalive")
+        other = registry.attach("stayalive")
+        registry.detach(attachment)  # a second detach changes nothing
+        assert session.attachments == [other]
+        assert attachment.end_reason == "detached" and other.end_reason is None
+        terminate(registry.kill("stayalive")[0])
+
+    def test_detach_after_the_stream_ended_changes_nothing(self):
+        registry = SessionRegistry()
+        session = registry.create("brief", py_counter(3), now=0.0)
+        attachment = registry.attach("brief")
+        assert b"".join(stream(attachment)) == b"0\n1\n2\n"
+        assert wait_until(lambda: not session.live, 5)
+        registry.detach(attachment)
+        assert attachment.end_reason == "exit"
+        assert attachment.read(timeout=0) is None
+        assert registry.rows()[0]["attached"] == 0
 
     def test_second_client_unaffected_by_detach(self):
         registry = SessionRegistry()
         registry.create("shared", py_counter(60, delay=0.01), now=0.0)
         first = registry.attach("shared")
         second = registry.attach("shared")
-        registry.detach("shared", first)
+        registry.detach(first)
         data = b"".join(stream(second))
         assert data.startswith(b"0\n")
         assert b"59\n" in data
@@ -315,7 +331,7 @@ class TestSessions:
     def test_kill_removes_session(self):
         registry = SessionRegistry()
         registry.create("doomed", ["sleep", "30"], now=0.0)
-        registry.kill("doomed")
+        terminate(registry.kill("doomed")[0])
         with pytest.raises(UnknownSession):
             registry.attach("doomed")
         with pytest.raises(UnknownSession):
@@ -326,7 +342,7 @@ class TestSessions:
         registry.create("victim", ["sleep", "30"], now=0.0)
         attachment = registry.attach("victim")
         assert attachment.read(timeout=0.01) == b""  # live and quiet: timed out
-        registry.kill("victim")
+        terminate(registry.kill("victim")[0])
         assert b"".join(stream(attachment)) == b""
         assert attachment.end_reason == "killed"
         assert attachment.read(timeout=0.01) is None
@@ -342,7 +358,7 @@ class TestSessions:
             chunk = first.read(timeout=5)
             assert chunk is not None
             received += chunk
-        registry.detach("integrity", first)
+        registry.detach(first)
 
         session = registry._sessions["integrity"]
         assert wait_until(lambda: len(session.ring) >= len(b"".join(b"%d\n" % i for i in range(50))), 5)
@@ -430,9 +446,9 @@ class TestSessions:
         session = registry.create("stalled", ["head", "-c", "100000", "/dev/zero"], now=0.0)
         attachment = registry.attach("stalled")
         assert wait_until(lambda: len(session.ring) == 1024, 5)
-        registry.kill("stalled")
+        terminate(registry.kill("stalled")[0])
         assert not wait_until(lambda: not session.live, 0.5)  # waits for the reader
-        registry.detach("stalled", attachment)
+        registry.detach(attachment)
         assert attachment.read(timeout=1) is None
         assert attachment.end_reason == "detached"
         assert wait_until(lambda: not session.live, 5)
