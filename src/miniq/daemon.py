@@ -159,7 +159,8 @@ class Daemon:
             self.sessions.adopt_lost(name, created_at)
 
         # Every process group sent SIGTERM (timed out, cancelled, killed
-        # session), with when; the tick SIGKILLs it after the grace.
+        # session), with when; the tick SIGKILLs it after the grace and
+        # reaps its leader, as it reaps every other leader.
         self._dying: list[tuple[Popen, float]] = []
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
@@ -214,7 +215,8 @@ class Daemon:
                 sys.excepthook(*sys.exc_info())
 
     def tick_once(self, now: float | None = None) -> None:
-        """Reap exits, enforce walltimes, journal session ends, start jobs.
+        """Reap jobs' exits, enforce walltimes, sweep the dying after their
+        grace, reap sessions' exits and journal their ends, start jobs.
         ``now`` defaults to the clock, read once the lock is held."""
         with self._mu:
             try:
@@ -227,7 +229,7 @@ class Daemon:
                 self._end(job_id, Outcome.timeout(), now)
             self._dying = kill_after_grace(self._dying, now)
 
-            for name in self.sessions.drain_ended():
+            for name in self.sessions.reap_ended():
                 self.journal.session_ended(name, now)
 
             for event in self.state.tick(now):

@@ -7,6 +7,9 @@ injected and stdout/stderr routed per the job's output policy.  Sessions are
 daemon-owned child processes that keep running while no client is attached;
 their combined output is captured into a bounded ring so a later attach can
 replay everything (up to capacity) before following the live stream.
+
+Only the daemon's tick, holding the daemon lock, reaps a leader, a job's or a
+session's: a session's pump thread only streams its output.
 """
 
 from __future__ import annotations
@@ -44,32 +47,30 @@ def _spawn(args: list[str], **kwargs) -> Popen:
 
 def _signal_unreaped(proc: Popen, signum: int) -> bool:
     """Signal the process group a leader leads, unless the leader is reaped
-    already: after that, its pid may name someone else's group.  The check
-    and the signal hold the Popen's own reaping lock, so a poll() or wait()
-    on another thread (a session's pump, the tick) cannot reap the leader
-    between them.  Returns whether the signal reached the leader."""
-    with proc._waitpid_lock:
-        if proc.returncode is None:
-            try:
-                os.killpg(proc.pid, signum)
-                os.kill(proc.pid, 0)  # killpg succeeds if any member got it: did the leader?
-                return True
-            except (ProcessLookupError, PermissionError):
-                pass
+    already: after that, its pid may name someone else's group.  The caller
+    holds the daemon lock, and only the daemon reaps, so the leader cannot
+    be reaped between the check and the signal.  Returns whether the signal
+    reached the leader."""
+    if proc.returncode is None:
+        try:
+            os.killpg(proc.pid, signum)
+            os.kill(proc.pid, 0)  # killpg succeeds if any member got it: did the leader?
+            return True
+        except (ProcessLookupError, PermissionError):
+            pass
     return False
 
 
 def _reap(proc: Popen, block: bool = False) -> int | None:
-    """The leader's exit status once it has exited, or None while it runs
-    (waiting for the exit if ``block``).  The exit is seen without reaping
-    the leader: while it is a zombie its pid still names its group, so the
-    group is SIGKILLed first and nothing it left running outlives it."""
+    """The exit status of a leader not yet reaped, once it has exited, or
+    None while it runs (waiting for the exit if ``block``).  The exit is seen
+    without reaping the leader: while it is a zombie its pid still names its
+    group, so the group is SIGKILLed first and nothing it left running
+    outlives it.  Called holding the daemon lock: the daemon is the one
+    reaper."""
     options = os.WEXITED | os.WNOWAIT | (0 if block else os.WNOHANG)
-    try:
-        if os.waitid(os.P_PID, proc.pid, options) is None:
-            return None
-    except ChildProcessError:
-        pass  # reaped already, by another thread's _reap
+    if os.waitid(os.P_PID, proc.pid, options) is None:
+        return None
     _signal_unreaped(proc, signal.SIGKILL)
     return proc.wait()
 
@@ -287,15 +288,17 @@ class Attachment:
 
 
 class Session:
-    __slots__ = ("name", "created_at", "proc", "ring", "live", "lost", "attachments", "changed")
+    __slots__ = ("name", "created_at", "proc", "ring", "live", "streaming", "attachments",
+                 "changed")
 
-    def __init__(self, name: str, created_at: float, lock: threading.Lock, ring_capacity: int):
+    def __init__(self, name: str, created_at: float, lock: threading.Lock, ring_capacity: int,
+                 proc: Popen | None = None):
         self.name = name
         self.created_at = created_at  # the daemon's clock, as journaled
-        self.proc: Popen | None = None
+        self.proc = proc  # None only for the tombstone of a session lost to a restart
         self.ring = RingBuffer(ring_capacity)
-        self.live = True
-        self.lost = False
+        self.live = proc is not None  # until the tick reaps the leader
+        self.streaming = self.live  # until the pump reads the output's end
         self.attachments: list[Attachment] = []
         # Notified when the ring grows, a reader advances or the stream ends.
         self.changed = threading.Condition(lock)
@@ -309,7 +312,6 @@ class SessionRegistry:
         self._ring_capacity = ring_capacity
         self._lock = threading.Lock()
         self._sessions: dict[str, Session] = {}
-        self._ended_unreported: list[Session] = []
 
     def create(self, name: str, command: list[str], now: float) -> Session:
         """Spawn a session process immediately; sessions bypass the scheduler."""
@@ -320,9 +322,9 @@ class SessionRegistry:
             existing = self._sessions.get(name)
             if existing is not None and existing.live:
                 raise DuplicateSession(f"session {name!r} already exists")
-            session = Session(name, now, self._lock, self._ring_capacity)
-            session.proc = _spawn(command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                                  cwd=self._cwd, bufsize=0)
+            proc = _spawn(command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          cwd=self._cwd, bufsize=0)
+            session = Session(name, now, self._lock, self._ring_capacity, proc)
             self._sessions[name] = session
         pump = threading.Thread(
             target=self._pump, args=(session,), name=f"session-{name}", daemon=True
@@ -335,37 +337,32 @@ class SessionRegistry:
         # A read never exceeds the ring, so one append drops nothing a reader
         # that has caught up still needs.
         read_size = min(READ_BYTES, ring.capacity)
-        while True:
-            chunk = proc.stdout.read(read_size)
-            if not chunk:
-                break
+        while chunk := proc.stdout.read(read_size):
             with changed:
                 oldest_kept = ring.end + len(chunk) - ring.capacity
                 changed.wait_for(lambda: all(a.cursor >= oldest_kept for a in session.attachments))
                 ring.append(chunk)
                 changed.notify_all()
-        # Whether the leader ended on its own or on a kill, its group is
-        # swept before it is reaped.  An ended session stays registered, so
-        # its pipe is closed here or its descriptor stays open.
-        _reap(proc, block=True)
+        # The stream ends here, whether or not the leader still runs: the
+        # tick reaps it.  An ended session stays registered, so its pipe is
+        # closed here or its descriptor stays open.
         proc.stdout.close()
         with changed:
-            session.live = False
+            session.streaming = False
             reason = "exit" if self._sessions.get(session.name) is session else "killed"
             for attachment in session.attachments:
                 attachment.end_reason = reason
             session.attachments.clear()
             changed.notify_all()
-            self._ended_unreported.append(session)
 
     def attach(self, name: str) -> Attachment:
         """Read everything the ring holds, then follow the live stream."""
         with self._lock:
             session = self._sessions.get(name)
-            if session is None or session.lost:
+            if session is None or session.proc is None:
                 raise UnknownSession(f"no session named {name!r}")
             attachment = Attachment(session)
-            if session.live:
+            if session.streaming:
                 session.attachments.append(attachment)
             else:
                 attachment.end_reason = "exit"
@@ -392,41 +389,40 @@ class SessionRegistry:
                     "live": s.live,
                     "attached": len(s.attachments),
                     "created_at": s.created_at,
-                    "lost": s.lost,
+                    "lost": s.proc is None,
                 }
                 for _, s in sorted(self._sessions.items())
             ]
 
     def kill(self, name: str) -> tuple[Popen | None, bool]:
-        """Drop the name.  Returns the session's leader if it is live, for
-        the caller to signal, and whether the end is still to be journaled:
-        not once ``drain_ended`` reported it.  Attached clients read what the
-        ring holds, then the end once the leader dies."""
+        """Drop the name.  Returns the session's leader if it is not yet
+        reaped, for the caller to signal and reap, and whether the end is
+        still to be journaled: not once ``reap_ended`` reported it.
+        Attached clients read what the ring holds, then the end once the
+        output closes."""
         with self._lock:
             session = self._sessions.pop(name, None)
             if session is None:
                 raise UnknownSession(f"no session named {name!r}")
-            if not session.live:
-                return None, session.lost or session in self._ended_unreported
-            return session.proc, True
+            return (session.proc if session.live else None), session.live or session.proc is None
 
     def adopt_lost(self, name: str, created_at: float) -> None:
         """Register a tombstone for a session that did not survive a restart."""
         with self._lock:
-            tombstone = Session(name, created_at, self._lock, self._ring_capacity)
-            tombstone.live, tombstone.lost = False, True
-            self._sessions[name] = tombstone
+            self._sessions[name] = Session(name, created_at, self._lock, self._ring_capacity)
 
-    def drain_ended(self) -> list[str]:
-        """Names of sessions that ended on their own since the last call and
-        are still registered: a killed session's end is the kill's to report,
-        and a replaced one's is superseded by its successor's creation."""
+    def reap_ended(self) -> list[str]:
+        """Reap the leader of each registered session that has exited, its
+        group SIGKILLed first, and return their names, for the caller to
+        journal.  A killed session is no longer registered: its leader is
+        reaped with the dying.  Called holding the daemon lock."""
         with self._lock:
-            ended = self._ended_unreported
-            self._ended_unreported = []
-            return [s.name for s in ended if self._sessions.get(s.name) is s]
+            ended = [s for s in self._sessions.values() if s.live and _reap(s.proc) is not None]
+            for session in ended:
+                session.live = False
+            return [session.name for session in ended]
 
     def live_leaders(self) -> list[Popen]:
-        """The leaders of the registered sessions that are still live."""
+        """The leaders of the registered sessions not yet reaped."""
         with self._lock:
             return [s.proc for s in self._sessions.values() if s.live]

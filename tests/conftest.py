@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import time
@@ -26,7 +27,7 @@ from miniq.jobspec import (
     ResourceRequest,
     render_walltime,
 )
-from miniq import journal
+from miniq import journal, runtime
 from miniq.sched import ClusterState, Node
 
 # The two reference job scripts the whole artifact is built around.
@@ -164,6 +165,27 @@ def process_alive(pid: int) -> bool:
             return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
     except FileNotFoundError:
         return False
+
+
+@pytest.fixture(autouse=True)
+def reap_leaders(monkeypatch):
+    """Stand in for the daemon's reaper.  A test that drives a job or a
+    ``SessionRegistry`` with no daemon leaves the leaders it starts
+    unreaped, so at teardown each one still unreaped has its group
+    SIGKILLed and is reaped.  Yields the leaders, in the order started.  A
+    daemon reaps its own: a shutdown test in test_daemon.py checks that it
+    leaves none for this fixture."""
+    leaders = []
+    spawn = runtime._spawn
+
+    def recording_spawn(*args, **kwargs):
+        leaders.append(spawn(*args, **kwargs))
+        return leaders[-1]
+
+    monkeypatch.setattr(runtime, "_spawn", recording_spawn)
+    yield leaders
+    runtime.kill_after_grace([(proc, 0.0) for proc in leaders if proc.returncode is None],
+                             math.inf)
 
 
 @pytest.fixture

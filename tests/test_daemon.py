@@ -23,6 +23,7 @@ from conftest import (
     make_spec,
     process_alive,
     ring_bytes,
+    stream,
     wait_until,
 )
 from miniq import daemon as daemon_mod
@@ -393,7 +394,10 @@ class TestLifecycleOverWire:
         client.request({"type": "cancel", "job_id": job_id})
         assert job_state(client, job_id) == "CA"
         assert daemon.state.jobs[job_id].proc is None
-        assert wait_until(lambda: proc.poll() is not None, 5)
+        # Seen without reaping: the daemon reaps its leaders, this one only
+        # after the grace.
+        exited = os.WEXITED | os.WNOHANG | os.WNOWAIT
+        assert wait_until(lambda: os.waitid(os.P_PID, proc.pid, exited) is not None, 1)
         client.close()
 
     def test_cancel_kills_children_that_ignore_sigterm(self, daemon, tmp_path):
@@ -825,17 +829,26 @@ class TestSessionEnds:
     def session_events(self, daemon: Daemon) -> list[tuple[str, str]]:
         return [(e.event, e.data["name"]) for e in read_entries(daemon.config.journal_path)]
 
-    def test_end_of_a_replaced_session_is_not_journaled(self, tmp_path):
+    def reaped(self, daemon: Daemon, name: str) -> bool:
+        """Ticks once; whether the session's leader is reaped."""
+        daemon.tick_once()
+        return not daemon.sessions._sessions[name].live
+
+    def test_a_name_is_reused_once_its_end_is_journaled(self, tmp_path):
         daemon = Daemon(daemon_config(tmp_path))
         try:
             os.makedirs(daemon.config.workdir_root)
             daemon.handle_request({"type": "session_create", "name": "a", "command": ["true"]})
-            ended = daemon.sessions._sessions["a"]
-            assert wait_until(lambda: not ended.live, 5)
+            response, _ = daemon.handle_request({"type": "session_create", "name": "a",
+                                                 "command": ["sleep", "30"]})
+            assert response["code"] == "duplicate-session"  # until the tick reaps the first a
+            assert wait_until(lambda: self.reaped(daemon, "a"), 5)
             daemon.handle_request({"type": "session_create", "name": "a",
                                    "command": ["sleep", "30"]})
-            daemon.tick_once(daemon._clock())  # the first a's end is drained here
-            assert self.session_events(daemon) == [("session_created", "a")] * 2
+            daemon.tick_once()
+            assert self.session_events(daemon) == [("session_created", "a"),
+                                                   ("session_ended", "a"),
+                                                   ("session_created", "a")]
         finally:
             daemon.shutdown()
 
@@ -853,7 +866,7 @@ class TestSessionEnds:
             os.makedirs(daemon.config.workdir_root)
             daemon.handle_request({"type": "session_create", "name": "b", "command": ["true"]})
             ended = daemon.sessions._sessions["b"]
-            assert wait_until(lambda: not ended.live, 5)
+            assert wait_until(lambda: not ended.streaming, 5)  # exited, not yet reaped
             daemon.handle_request({"type": "session_kill", "name": "b"})
             daemon.tick_once(daemon._clock())
             assert self.session_events(daemon) == [("session_created", "b"),
@@ -861,18 +874,37 @@ class TestSessionEnds:
         finally:
             daemon.shutdown()
 
-    def test_kill_of_a_drained_session_journals_no_second_end(self, tmp_path):
+    def test_kill_of_a_reaped_session_journals_no_second_end(self, tmp_path):
         daemon = Daemon(daemon_config(tmp_path))
         try:
             os.makedirs(daemon.config.workdir_root)
             daemon.handle_request({"type": "session_create", "name": "c", "command": ["true"]})
-            ended = daemon.sessions._sessions["c"]
-            assert wait_until(lambda: not ended.live, 5)
-            daemon.tick_once()  # journals c's end
+            assert wait_until(lambda: self.reaped(daemon, "c"), 5)  # journals c's end
             response, _ = daemon.handle_request({"type": "session_kill", "name": "c"})
             assert response["ok"] is True
             assert self.session_events(daemon) == [("session_created", "c"),
                                                    ("session_ended", "c")]
+        finally:
+            daemon.shutdown()
+
+    def test_a_leader_that_leaves_a_child_ends_within_a_tick(self, tmp_path):
+        # The child holds the output open, so the stream cannot end first:
+        # the tick reaps the leader, journals its end and takes the child.
+        daemon = Daemon(daemon_config(tmp_path))
+        try:
+            os.makedirs(daemon.config.workdir_root)
+            daemon.handle_request({"type": "session_create", "name": "e",
+                                   "command": ["sh", "-c", "sleep 30 & echo $!"]})
+            assert wait_until(lambda: self.reaped(daemon, "e"), 5)
+            response, _ = daemon.handle_request({"type": "session_list"})
+            assert [row["live"] for row in response["payload"]["sessions"]] == [False]
+            daemon.tick_once()
+            assert self.session_events(daemon) == [("session_created", "e"),
+                                                   ("session_ended", "e")]
+            _, attachment = daemon.handle_request({"type": "attach", "name": "e"})
+            child = int(b"".join(stream(attachment)))
+            assert attachment.end_reason == "exit"
+            assert wait_until(lambda: not process_alive(child), 2)
         finally:
             daemon.shutdown()
 
@@ -1247,6 +1279,25 @@ class TestServeLifecycle:
         finally:
             daemon.shutdown()
         assert proc.returncode == -signal.SIGKILL
+
+    def test_shutdown_reaps_every_leader_the_daemon_started(self, tmp_path, reap_leaders):
+        # The daemon is the one reaper of its leaders, in every state one can
+        # be in: it leaves none for the conftest fixture to reap.
+        daemon = Daemon(daemon_config(tmp_path))
+        try:
+            os.makedirs(daemon.config.workdir_root)
+            for name, command in (("running", ["sleep", "30"]), ("killed", ["sleep", "30"]),
+                                  ("exited", ["true"])):
+                daemon.handle_request({"type": "session_create", "name": name,
+                                       "command": command})
+            daemon.handle_request({"type": "session_kill", "name": "killed"})
+            exited = daemon.sessions._sessions["exited"]
+            assert wait_until(lambda: not exited.streaming, 5)
+            assert exited.live  # exited, but no tick has reaped it
+            assert [proc for proc, _ in daemon._dying] == [reap_leaders[1]]  # in its grace
+        finally:
+            daemon.shutdown()
+        assert [proc.returncode is not None for proc in reap_leaders] == [True] * 3
 
     def test_no_change_once_shutdown_has_begun(self, tmp_path, monkeypatch):
         # A request read before the stop that takes the lock after shutdown

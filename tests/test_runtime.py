@@ -282,7 +282,7 @@ class TestSessions:
     def test_attach_replays_before_live(self):
         registry = SessionRegistry()
         session = registry.create("replay", py_counter(1), now=0.0)
-        assert wait_until(lambda: not session.live, 5)
+        assert wait_until(lambda: not session.streaming, 5)
         attachment = registry.attach("replay")
         chunks = b"".join(stream(attachment))
         assert chunks == b"0\n"
@@ -312,7 +312,7 @@ class TestSessions:
         session = registry.create("brief", py_counter(3), now=0.0)
         attachment = registry.attach("brief")
         assert b"".join(stream(attachment)) == b"0\n1\n2\n"
-        assert wait_until(lambda: not session.live, 5)
+        assert not session.streaming
         registry.detach(attachment)
         assert attachment.end_reason == "exit"
         assert attachment.read(timeout=0) is None
@@ -419,7 +419,7 @@ class TestSessions:
             received[i] = b"".join(stream(attachments[i]))
 
         def poll():
-            while session.live:
+            while session.streaming:
                 ring_bytes(session)
 
         threads = [threading.Thread(target=drain, args=(i,), daemon=True) for i in range(4)]
@@ -447,16 +447,16 @@ class TestSessions:
         attachment = registry.attach("stalled")
         assert wait_until(lambda: len(session.ring) == 1024, 5)
         terminate(registry.kill("stalled")[0])
-        assert not wait_until(lambda: not session.live, 0.5)  # waits for the reader
+        assert not wait_until(lambda: not session.streaming, 0.5)  # waits for the reader
         registry.detach(attachment)
         assert attachment.read(timeout=1) is None
         assert attachment.end_reason == "detached"
-        assert wait_until(lambda: not session.live, 5)
+        assert wait_until(lambda: not session.streaming, 5)
 
     def test_ring_overflow_sets_truncated_for_next_attach(self):
         registry = SessionRegistry(ring_capacity=64)
         session = registry.create("noisy", py_counter(300), now=0.0)
-        assert wait_until(lambda: not session.live, 10)
+        assert wait_until(lambda: not session.streaming, 10)
         attachment = registry.attach("noisy")
         assert attachment.truncated is True
         data = b"".join(stream(attachment))
@@ -473,8 +473,10 @@ class TestSessions:
 
     def test_dead_name_can_be_reused(self):
         registry = SessionRegistry()
-        session = registry.create("reuse", py_counter(1), now=0.0)
-        assert wait_until(lambda: not session.live, 5)
+        registry.create("reuse", py_counter(1), now=0.0)
+        with pytest.raises(DuplicateSession):  # until its leader is reaped
+            registry.create("reuse", py_counter(2), now=1.0)
+        assert wait_until(lambda: registry.reap_ended() == ["reuse"], 5)
         registry.create("reuse", py_counter(2), now=1.0)
         rows = [row for row in registry.rows() if row["name"] == "reuse"]
         assert len(rows) == 1 and rows[0]["live"] is True
@@ -483,8 +485,10 @@ class TestSessions:
         registry = SessionRegistry()
         session = registry.create(
             "leaves_child", ["sh", "-c", "sleep 30 >/dev/null 2>&1 & echo $!"], now=0.0)
-        assert wait_until(lambda: not session.live, 5)
+        assert wait_until(lambda: not session.streaming, 5)
         child = int(ring_bytes(session))
+        assert process_alive(child)
+        assert wait_until(lambda: registry.reap_ended() == ["leaves_child"], 5)
         assert wait_until(lambda: not process_alive(child), 2)
 
     def test_ended_sessions_close_their_pipes(self):
@@ -497,12 +501,27 @@ class TestSessions:
         registry = SessionRegistry()
         before = len(os.listdir("/proc/self/fd"))
         sessions = [registry.create(f"brief{i}", ["true"], now=0.0) for i in range(20)]
-        assert wait_until(lambda: not any(session.live for session in sessions), 10)
+        assert wait_until(lambda: not any(session.streaming for session in sessions), 10)
         assert len(os.listdir("/proc/self/fd")) == before
 
-    def test_drain_ended_reports_natural_exits(self):
+    def test_reap_ended_reaps_natural_exits_once(self):
         registry = SessionRegistry()
         session = registry.create("brief", py_counter(1), now=0.0)
-        assert wait_until(lambda: not session.live, 5)
-        assert registry.drain_ended() == ["brief"]
-        assert registry.drain_ended() == []
+        registry.create("running", ["sleep", "30"], now=0.0)
+        assert wait_until(lambda: registry.reap_ended() == ["brief"], 5)
+        assert session.proc.returncode == 0 and not session.live
+        assert registry.reap_ended() == []
+        assert [(row["name"], row["live"]) for row in registry.rows()] \
+            == [("brief", False), ("running", True)]
+
+    def test_a_stream_ends_when_the_output_closes(self):
+        # A leader that closes its output and runs on ends every attached
+        # stream at once, and stays live until it exits and is reaped.
+        registry = SessionRegistry()
+        session = registry.create("quiet", ["sh", "-c", "echo hi; exec >&- 2>&-; sleep 30"],
+                                  now=0.0)
+        attachment = registry.attach("quiet")
+        assert b"".join(stream(attachment)) == b"hi\n"
+        assert attachment.end_reason == "exit"
+        assert session.live and registry.reap_ended() == []
+        assert registry.attach("quiet").end_reason == "exit"
