@@ -37,9 +37,9 @@ from .errors import (
 from .jobspec import REQUIRED, Dialect, parse_script, read_fields
 from .protocol import data_frame, end_frame, err, ok
 from .runtime import (
+    GRACE_SECONDS,
     SessionRegistry,
     collect_exits,
-    kill_after_grace,
     launch_job,
     poll_walltime,
     terminate,
@@ -158,10 +158,10 @@ class Daemon:
         for name, created_at in recovered.lost_sessions:
             self.sessions.adopt_lost(name, created_at)
 
-        # Every process group sent SIGTERM (timed out, cancelled, killed
-        # session), with when; the tick SIGKILLs it after the grace and
-        # reaps its leader, as it reaps every other leader.
-        self._dying: list[tuple[Popen, float]] = []
+        # The one process table: each leader not yet reaped (a running
+        # job's, a live session's, or one in its grace after SIGTERM) maps
+        # to (kill_at, owner); the tick sweeps it with collect_exits.
+        self._leaders: dict[Popen, tuple[float, int | str | None]] = {}
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
         self.bound_address: tuple[str, int] | None = None
@@ -190,8 +190,8 @@ class Daemon:
 
     def shutdown(self) -> None:
         """Stop the loops and release the listener, then, under one hold of
-        the lock, SIGKILL and reap every leader the daemon still has (the
-        dying, running jobs' and live sessions') in one sweep and close the
+        the lock, SIGKILL and reap every leader in the table (running jobs',
+        live sessions' and those in their grace) in one sweep and close the
         journal."""
         self._stop.set()
         if self._listener is not None:
@@ -200,37 +200,38 @@ class Daemon:
             except OSError:
                 pass
         with self._mu:
-            leaders = [rec.proc for _, _, rec in self.state.releases if rec.proc is not None]
-            leaders += self.sessions.live_leaders()
-            self._dying = kill_after_grace(self._dying + [(p, 0.0) for p in leaders], math.inf)
+            collect_exits(self._leaders, math.inf)
             self.journal.close()
 
     # ----- scheduling loop -------------------------------------------- #
 
     def _tick_loop(self) -> None:
-        while not self._stop.wait(self.config.tick_interval_s):
-            try:
+        """Tick every interval until the stop.  A tick that raises stops the
+        daemon (fail-stop): its exception reaches ``threading.excepthook``,
+        and no later tick acts on state the failed one left half changed."""
+        try:
+            while not self._stop.wait(self.config.tick_interval_s):
                 self.tick_once()
-            except Exception:
-                sys.excepthook(*sys.exc_info())
+        finally:
+            self._stop.set()
 
     def tick_once(self, now: float | None = None) -> None:
-        """Reap jobs' exits, enforce walltimes, sweep the dying after their
-        grace, reap sessions' exits and journal their ends, start jobs.
-        ``now`` defaults to the clock, read once the lock is held."""
+        """Sweep the process table, ending each job whose leader exited and
+        journaling each session's end; end the jobs past their walltime;
+        start jobs and enter their leaders in the table.  ``now`` defaults
+        to the clock, read once the lock is held."""
         with self._mu:
             try:
                 now = self._admit(now)
             except ShuttingDown:
                 return  # shutdown may have killed every job; none may start after
-            for job_id, code in collect_exits(rec for _, _, rec in self.state.releases):
-                self._end(job_id, Outcome.exit(code), now)
+            for owner, code in collect_exits(self._leaders, now):
+                if isinstance(owner, int):
+                    self._end(owner, Outcome.exit(code), now)
+                elif owner is not None:
+                    self.journal.session_ended(owner, now)
             for job_id in poll_walltime((rec for _, _, rec in self.state.releases), now):
                 self._end(job_id, Outcome.timeout(), now)
-            self._dying = kill_after_grace(self._dying, now)
-
-            for name in self.sessions.reap_ended():
-                self.journal.session_ended(name, now)
 
             for event in self.state.tick(now):
                 rec = self.state.jobs[event.job_id]
@@ -239,6 +240,8 @@ class Daemon:
                     rec.proc = launch_job(rec.spec, event.job_id, rec.submit_dir)
                 except MiniqError as exc:
                     self._end(event.job_id, Outcome.daemon_failure(str(exc)), now)
+                else:
+                    self._leaders[rec.proc] = (math.inf, event.job_id)
 
     def _admit(self, now: float | None = None) -> float:
         """Called holding the lock before a change to jobs, sessions or the
@@ -252,14 +255,15 @@ class Daemon:
     def _end(self, job_id: int, outcome: Outcome, now: float) -> None:
         """End a job for any cause: apply ``outcome``, journal its ``ended``
         entry and take the process from its record.  A leader not yet reaped
-        (a timeout, a running cancel) gets SIGTERM to its group and joins the
-        dying, for the tick to SIGKILL the group after the grace."""
+        (a timeout, a running cancel) gets SIGTERM to its group, and its
+        table entry becomes (end of grace, None), for the sweep to SIGKILL
+        the group then and reap the leader."""
         rec = self.state.transition(job_id, outcome, now)
         proc, rec.proc = rec.proc, None
         self.journal.ended(rec, now)
         if proc is not None and proc.returncode is None:
             terminate(proc)
-            self._dying.append((proc, now))
+            self._leaders[proc] = (now + GRACE_SECONDS, None)
 
     # ----- request handling -------------------------------------------- #
 
@@ -313,7 +317,7 @@ class Daemon:
         name, command = read_fields(message, _SESSION_CREATE_FIELDS)
         with self._mu:
             now = self._admit()
-            self.sessions.create(name, command, now)
+            self._leaders[self.sessions.create(name, command, now).proc] = (math.inf, name)
             self.journal.session_created(name, now)
         return ok({"name": name}), None
 
@@ -324,11 +328,11 @@ class Daemon:
         (name,) = read_fields(message, _NAME_FIELDS)
         with self._mu:
             now = self._admit()
-            proc, unjournaled = self.sessions.kill(name)
-            if proc is not None:
-                terminate(proc)
-                self._dying.append((proc, now))
-            if unjournaled:
+            session = self.sessions.kill(name)
+            if session.live:
+                terminate(session.proc)
+                self._leaders[session.proc] = (now + GRACE_SECONDS, None)
+            if session.live or session.proc is None:  # else the tick journaled its end
                 self.journal.session_ended(name, now)
         return ok({"name": name}), None
 
@@ -458,8 +462,9 @@ USAGE = "usage: miniqd [-h] --config PATH"
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the daemon until SIGTERM or SIGINT.  Returns the exit status: 0
-    after a clean stop or ``-h``, 1 if it cannot start, 2 on bad arguments."""
+    """Run the daemon until SIGTERM or SIGINT, or until a tick fails.
+    Returns the exit status: 0 after a stop by signal or ``-h``, 1 if it
+    cannot start or a tick failed, 2 on bad arguments."""
     args = sys.argv[1:] if argv is None else argv
     if "-h" in args or "--help" in args:
         print(USAGE)
@@ -471,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(f"{USAGE}\nminiqd: error: expected --config PATH, got {args}", file=sys.stderr)
         return 2
-    daemon, previous = None, {}
+    daemon, previous, signalled = None, {}, []
     try:
         config = load_config(config_path)
         daemon = Daemon(config)
@@ -479,6 +484,7 @@ def main(argv: list[str] | None = None) -> int:
         # Installed before start(): a signal sent as soon as the banner is
         # read must still run shutdown().
         def on_signal(signum, frame):
+            signalled.append(signum)
             daemon._stop.set()
 
         previous = {signum: signal.signal(signum, on_signal)
@@ -496,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"miniqd listening on {host}:{port}", flush=True)
     daemon._stop.wait()
     daemon.shutdown()
-    return 0
+    return 0 if signalled else 1  # else the tick loop stopped on a failed tick
 
 
 def entrypoint() -> None:

@@ -8,12 +8,15 @@ daemon-owned child processes that keep running while no client is attached;
 their combined output is captured into a bounded ring so a later attach can
 replay everything (up to capacity) before following the live stream.
 
-Only the daemon's tick, holding the daemon lock, reaps a leader, a job's or a
-session's: a session's pump thread only streams its output.
+Every leader the daemon has not reaped, a job's or a session's, running or
+in its grace after SIGTERM, is one entry of one table, and only the daemon's
+tick, holding the daemon lock, sweeps it with ``collect_exits``: a session's
+pump thread only streams its output.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import subprocess
@@ -80,24 +83,6 @@ def terminate(proc: Popen) -> None:
     _signal_unreaped(proc, signal.SIGTERM)
 
 
-def kill_after_grace(dying: list[tuple[Popen, float]], now: float) -> list[tuple[Popen, float]]:
-    """SIGKILL the group of each (leader, SIGTERM time) entry ``GRACE_SECONDS``
-    after its SIGTERM, then reap the leader; returns the entries still
-    waiting.  A group is swept even if its leader died on SIGTERM, since its
-    children may ignore it.  ``now=math.inf`` kills them all.
-
-    A leader the SIGKILL reached is reaped as soon as it exits, which is at
-    once, since SIGKILL cannot be ignored; one it could not reach (a leader
-    that changed its user, as ``exec sudo`` does) stays waiting."""
-    waiting = []
-    for proc, term_sent_at in dying:
-        if now >= term_sent_at + GRACE_SECONDS:
-            if _reap(proc, block=_signal_unreaped(proc, signal.SIGKILL)) is not None:
-                continue
-        waiting.append((proc, term_sent_at))
-    return waiting
-
-
 # --------------------------------------------------------------------- #
 # supervised jobs
 # --------------------------------------------------------------------- #
@@ -158,16 +143,31 @@ def poll_walltime(recs: Iterable[JobRecord], now: float) -> list[int]:
     return [rec.id for rec in recs if now > rec.start_time + rec.spec.walltime_s]
 
 
-def collect_exits(recs: Iterable[JobRecord]) -> list[tuple[int, int]]:
-    """(job_id, exit_code) for running jobs whose process has finished on its
-    own.  Each leader's group is SIGKILLed before the leader is reaped, so
-    nothing the job left in the background outlives it."""
-    finished = []
-    for rec in recs:
-        code = _reap(rec.proc)
-        if code is not None:
-            finished.append((rec.id, code))
-    return finished
+def collect_exits(leaders: dict[Popen, tuple[float, object]],
+                  now: float) -> list[tuple[object, int]]:
+    """Reap every due leader of the table ``leaders``, take it out, and
+    return (owner, exit status) for each, in the table's order.
+
+    An entry is (kill_at, owner).  ``kill_at`` is ``math.inf`` while the
+    leader runs, and the end of its grace once it was sent SIGTERM; the
+    owner is a running job's id or a live session's name, and None once the
+    leader was ended.  A running leader is due when it exits: its group is
+    SIGKILLed while it is a zombie, then it is reaped, so nothing it left in
+    the background outlives it.  A leader in its grace is due at
+    ``kill_at`` and no sooner, even if it died on SIGTERM, so its children
+    get the whole grace; then its group is SIGKILLed and the leader reaped,
+    at once, since SIGKILL cannot be ignored.  One the SIGKILL could not
+    reach (a leader that changed its user, as ``exec sudo`` does) stays in
+    the table.  ``now=math.inf`` kills and reaps them all."""
+    done = []
+    for proc, (kill_at, owner) in list(leaders.items()):
+        due = now >= kill_at
+        if due or kill_at == math.inf:
+            code = _reap(proc, block=due and _signal_unreaped(proc, signal.SIGKILL))
+            if code is not None:
+                del leaders[proc]
+                done.append((owner, code))
+    return done
 
 
 # --------------------------------------------------------------------- #
@@ -288,8 +288,7 @@ class Attachment:
 
 
 class Session:
-    __slots__ = ("name", "created_at", "proc", "ring", "live", "streaming", "attachments",
-                 "changed")
+    __slots__ = ("name", "created_at", "proc", "ring", "streaming", "attachments", "changed")
 
     def __init__(self, name: str, created_at: float, lock: threading.Lock, ring_capacity: int,
                  proc: Popen | None = None):
@@ -297,11 +296,16 @@ class Session:
         self.created_at = created_at  # the daemon's clock, as journaled
         self.proc = proc  # None only for the tombstone of a session lost to a restart
         self.ring = RingBuffer(ring_capacity)
-        self.live = proc is not None  # until the tick reaps the leader
-        self.streaming = self.live  # until the pump reads the output's end
+        self.streaming = proc is not None  # until the pump reads the output's end
         self.attachments: list[Attachment] = []
         # Notified when the ring grows, a reader advances or the stream ends.
         self.changed = threading.Condition(lock)
+
+    @property
+    def live(self) -> bool:
+        """Whether the leader is not yet reaped.  Only the daemon's tick
+        reaps, holding the daemon lock, so this changes only under it."""
+        return self.proc is not None and self.proc.returncode is None
 
 
 class SessionRegistry:
@@ -394,35 +398,18 @@ class SessionRegistry:
                 for _, s in sorted(self._sessions.items())
             ]
 
-    def kill(self, name: str) -> tuple[Popen | None, bool]:
-        """Drop the name.  Returns the session's leader if it is not yet
-        reaped, for the caller to signal and reap, and whether the end is
-        still to be journaled: not once ``reap_ended`` reported it.
-        Attached clients read what the ring holds, then the end once the
-        output closes."""
+    def kill(self, name: str) -> Session:
+        """Drop the name and return its session, for the caller to signal
+        its leader if it is ``live`` and to journal its end unless the tick
+        did.  Attached clients read what the ring holds, then the end once
+        the output closes."""
         with self._lock:
             session = self._sessions.pop(name, None)
             if session is None:
                 raise UnknownSession(f"no session named {name!r}")
-            return (session.proc if session.live else None), session.live or session.proc is None
+            return session
 
     def adopt_lost(self, name: str, created_at: float) -> None:
         """Register a tombstone for a session that did not survive a restart."""
         with self._lock:
             self._sessions[name] = Session(name, created_at, self._lock, self._ring_capacity)
-
-    def reap_ended(self) -> list[str]:
-        """Reap the leader of each registered session that has exited, its
-        group SIGKILLed first, and return their names, for the caller to
-        journal.  A killed session is no longer registered: its leader is
-        reaped with the dying.  Called holding the daemon lock."""
-        with self._lock:
-            ended = [s for s in self._sessions.values() if s.live and _reap(s.proc) is not None]
-            for session in ended:
-                session.live = False
-            return [session.name for session in ended]
-
-    def live_leaders(self) -> list[Popen]:
-        """The leaders of the registered sessions not yet reaped."""
-        with self._lock:
-            return [s.proc for s in self._sessions.values() if s.live]

@@ -184,8 +184,8 @@ def reap_leaders(monkeypatch):
 
     monkeypatch.setattr(runtime, "_spawn", recording_spawn)
     yield leaders
-    runtime.kill_after_grace([(proc, 0.0) for proc in leaders if proc.returncode is None],
-                             math.inf)
+    runtime.collect_exits({proc: (0.0, None) for proc in leaders if proc.returncode is None},
+                          math.inf)
 
 
 @pytest.fixture

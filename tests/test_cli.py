@@ -92,6 +92,14 @@ class TestSubmit:
         assert cli.main(["submit", slurm]) == 0
         assert capsys.readouterr().out == "2\n"
 
+    def test_unknown_directive_is_a_warning_and_exits_0(self, tmp_path, capsys):
+        script = write_script(tmp_path, "odd.pbs",
+                              "#!/bin/bash\n#PBS -N odd\n#PBS -q short\ntrue\n")
+        assert cli.main(["submit", script]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "1\n"
+        assert captured.err == "miniq: warning: line 3: ignoring unknown directive -q\n"
+
     def test_parse_error_names_line_and_exits_1(self, tmp_path, capsys):
         script = write_script(tmp_path, "bad.pbs",
                               "#!/bin/bash\n#PBS -l walltime=9:99:00\ntrue\n")

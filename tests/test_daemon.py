@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import builtins
+import errno
 import json
 import math
 import os
@@ -30,7 +31,8 @@ from miniq import daemon as daemon_mod
 from miniq import journal as journal_mod
 from miniq import protocol, runtime
 from miniq.cli import Client, CommandFailed
-from miniq.daemon import DEFAULT_TICK_INTERVAL_S, Daemon, DaemonConfig, load_config, main
+from miniq.daemon import (DEFAULT_TICK_INTERVAL_S, Daemon, DaemonConfig, load_config, main,
+                          steady_epoch)
 from miniq.errors import BindFailed, ConfigError, JournalCorrupt, SpawnFailed
 from miniq.journal import EVENT_SESSION_CREATED, Journal, read_entries
 from miniq.runtime import DEFAULT_RING_CAPACITY, GRACE_SECONDS, READ_BYTES
@@ -93,6 +95,12 @@ def submit_script(client: Client, script: str, submit_dir: str, **extra) -> dict
     return client.request({
         "type": "submit", "script": script, "submit_dir": submit_dir, **extra,
     })
+
+
+def ended_leaders(daemon: Daemon) -> list:
+    """The leaders in the daemon's table that were sent SIGTERM and wait out
+    their grace: those whose owner is None."""
+    return [proc for proc, (_, owner) in daemon._leaders.items() if owner is None]
 
 
 def job_state(client: Client, job_id: int) -> str:
@@ -225,6 +233,7 @@ class TestSubmit:
                      "invalid-request", id="session name that is a number"),
         pytest.param({"type": "cancel", "job_id": None}, "invalid-request", id="null job id"),
         pytest.param({"type": ["status"]}, "unknown-request", id="request type that is a list"),
+        pytest.param({"type": "detach"}, "not-attached", id="detach with no attach"),
     ])
     def test_malformed_field_answered_and_connection_kept(self, daemon, tmp_path, request_,
                                                           code):
@@ -234,6 +243,15 @@ class TestSubmit:
         assert client.request(request_)["code"] == code
         assert client.request({"type": "status"})["payload"]["rows"] == []
         assert client.request({"type": "session_list"})["payload"]["sessions"] == []
+        client.close()
+
+    @pytest.mark.parametrize("line", [b"not json\n", b"[1]\n"])
+    def test_unreadable_line_gets_one_protocol_error_then_eof(self, daemon, line):
+        client = connect(daemon)
+        client.sock.sendall(line)
+        response = protocol.read_message(client.reader)
+        assert (response["ok"], response["code"]) == (False, "protocol-error")
+        assert protocol.read_message(client.reader) is None  # connection closed
         client.close()
 
     def test_handler_fault_reaches_the_thread_excepthook(self, daemon, monkeypatch):
@@ -582,7 +600,7 @@ class TestEndPath:
                 assert jobs[job_id].state.value == code
                 assert jobs[job_id].proc is None
                 assert ended.count(job_id) == 1
-            assert [proc for proc, _ in daemon._dying] == [procs[cancelled], procs[late]]
+            assert ended_leaders(daemon) == [procs[late], procs[cancelled]]  # launch order
         finally:
             daemon.shutdown()
 
@@ -641,7 +659,7 @@ class TestOneTerm:
             time.sleep(0.3)
             assert terms.read_text() == "TERM\n"
             assert rec.state.value == {"timeout": "TO", "cancel": "CA"}[cause]
-            assert [proc for proc, _ in daemon._dying] == [leader]
+            assert ended_leaders(daemon) == [leader]
             assert leader.returncode is None and process_alive(leader.pid)
         finally:
             daemon.shutdown()
@@ -660,6 +678,60 @@ class HandClock:
     def advance(self, seconds: float) -> float:
         self.now += seconds
         return self.now
+
+
+class TestProcessTable:
+    def test_the_table_is_the_daemons_whole_process_set(self, tmp_path, reap_leaders):
+        # Every leader the daemon started and has not reaped is in its
+        # table, in every state a leader can be in, after every tick.
+        clock = HandClock(steady_epoch())
+        daemon = Daemon(daemon_config(tmp_path, slots=4, nodes=1), clock=clock)
+        terminated = []
+
+        def submit(name, body):
+            response, _ = daemon.handle_request({
+                "type": "submit", "submit_dir": str(tmp_path),
+                "script": make_pbs_script(name, 1, 1, 600, body=body)})
+            return daemon.state.jobs[response["payload"]["job_id"]]
+
+        def tick_and_check():
+            daemon.tick_once()
+            table = daemon._leaders
+            assert set(table) == {proc for proc in reap_leaders if proc.returncode is None}
+            for rec in daemon.state.jobs.values():
+                if rec.state is JobStatus.RUNNING:
+                    assert table[rec.proc][1] == rec.id
+            for name, session in daemon.sessions._sessions.items():
+                if session.live:
+                    assert table[session.proc][1] == name
+            assert all(table[proc][1] is None for proc in terminated if proc in table)
+            return table
+
+        try:
+            os.makedirs(daemon.config.workdir_root)
+            running, exits, cancelled = (submit(name, body) for name, body in (
+                ("running", "sleep 30"), ("exits", "true"), ("cancelled", "sleep 30")))
+            for name, command in (("live", ["sleep", "30"]), ("exits", ["true"]),
+                                  ("killed", ["sleep", "30"])):
+                daemon.handle_request({"type": "session_create", "name": name,
+                                       "command": command})
+            tick_and_check()  # starts the three jobs
+            terminated += [cancelled.proc, daemon.sessions._sessions["killed"].proc]
+            daemon.handle_request({"type": "cancel", "job_id": cancelled.id})
+            daemon.handle_request({"type": "session_kill", "name": "killed"})
+            exited_session = daemon.sessions._sessions["exits"]
+            assert wait_until(lambda: exited_session.proc not in tick_and_check()
+                              and exits.state is JobStatus.COMPLETED, 5)
+            assert wait_until(lambda: not any(process_alive(p.pid) for p in terminated), 5)
+            assert len(tick_and_check()) == 4  # dead on SIGTERM, but still in their grace
+            clock.advance(GRACE_SECONDS)
+            table = tick_and_check()
+            assert [owner for _, owner in table.values()] == ["live", running.id]
+            # Each died on SIGTERM, and was reaped only once its grace ended.
+            assert [proc.returncode for proc in terminated] == [-signal.SIGTERM] * 2
+        finally:
+            daemon.shutdown()
+        assert daemon._leaders == {}
 
 
 class TestOneClock:
@@ -1294,7 +1366,7 @@ class TestServeLifecycle:
             exited = daemon.sessions._sessions["exited"]
             assert wait_until(lambda: not exited.streaming, 5)
             assert exited.live  # exited, but no tick has reaped it
-            assert [proc for proc, _ in daemon._dying] == [reap_leaders[1]]  # in its grace
+            assert ended_leaders(daemon) == [reap_leaders[1]]  # in its grace
         finally:
             daemon.shutdown()
         assert [proc.returncode is not None for proc in reap_leaders] == [True] * 3
@@ -1580,26 +1652,87 @@ class TestMainArguments:
 
 
 class TestTickLoop:
-    def test_failed_tick_is_printed_and_the_loop_goes_on(self, tmp_path, capfd):
+    def test_failed_tick_is_printed_and_stops_the_daemon(self, tmp_path, capfd, monkeypatch):
+        # Fail-stop: a tick that raises may leave the state half changed,
+        # so no later tick may act on it.
         daemon = Daemon(daemon_config(tmp_path, tick=0.01))
-        ticks = []
-        tick_once = daemon.tick_once
+        ticks, seen = [], []
 
-        def failing_once():
+        def failing_tick():
             ticks.append(None)
-            if len(ticks) == 1:
-                raise RuntimeError("tick failed")
-            tick_once()
+            raise RuntimeError("tick failed")
 
-        daemon.tick_once = failing_once
+        def print_and_record(args):
+            seen.append(args)
+            threading.__excepthook__(args)
+
+        monkeypatch.setattr(threading, "excepthook", print_and_record)
+        daemon.tick_once = failing_tick
         daemon.start()
         try:
-            assert wait_until(lambda: len(ticks) >= 3, 5)
+            assert daemon._stop.wait(5)
+            assert wait_until(lambda: seen, 5)
+            time.sleep(0.1)  # ten tick intervals
         finally:
             daemon.shutdown()
+        assert len(ticks) == 1
         err = capfd.readouterr().err
         assert "Traceback (most recent call last):" in err
         assert "RuntimeError: tick failed" in err
+
+    def test_failed_journal_append_stops_the_daemon_and_the_journal_recovers(self, tmp_path,
+                                                                            monkeypatch):
+        # The pass moves the job to R in memory, then its started entry
+        # cannot be written.  A later tick would time the job out, or, while
+        # it holds no process, fail on it: the daemon stops instead, and the
+        # journal, holding only the submission, recovers the job as pending.
+        daemon = Daemon(daemon_config(tmp_path, tick=0.01))
+        started = daemon.journal.started
+        failures, seen = [], []
+
+        def started_once_failing(rec, now):
+            if not failures:
+                failures.append(rec.id)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            started(rec, now)
+
+        monkeypatch.setattr(daemon.journal, "started", started_once_failing)
+        monkeypatch.setattr(threading, "excepthook", seen.append)
+        daemon.start()
+        try:
+            response, _ = daemon.handle_request({
+                "type": "submit", "submit_dir": str(tmp_path),
+                "script": make_pbs_script("doomed", 1, 1, 1, body="true")})
+            job_id = response["payload"]["job_id"]
+            assert daemon._stop.wait(5)
+            time.sleep(0.1)  # ten tick intervals
+            assert failures == [job_id]
+            assert [type(args.exc_value) for args in seen] == [OSError]
+        finally:
+            daemon.shutdown()
+        path = daemon.config.journal_path
+        assert [e.event for e in read_entries(path)] == ["submitted"]
+        recovered = journal_mod.recover(path, daemon.config.nodes).cluster
+        assert recovered.jobs[job_id].state is JobStatus.PENDING
+
+    def test_main_returns_1_after_a_failed_tick(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "miniqd.json"
+        path.write_text(json.dumps({**GOOD_CONFIG, "listen": "127.0.0.1:0"}))
+        seen = []
+
+        def failing_tick(self, now=None):
+            raise RuntimeError("tick failed")
+
+        monkeypatch.setattr(Daemon, "tick_once", failing_tick)
+        monkeypatch.setattr(threading, "excepthook", seen.append)
+        handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
+        try:
+            assert main(["--config", str(path)]) == 1
+        finally:
+            for signum, handler in handlers.items():
+                signal.signal(signum, handler)
+        assert capsys.readouterr().out.startswith("miniqd listening on ")
+        assert [str(args.exc_value) for args in seen] == ["tick failed"]
 
     def test_tick_that_waited_out_the_shutdown_sweep_starts_nothing(self, tmp_path):
         # The tick leaves its wait just before the stop and waits for the

@@ -98,6 +98,10 @@ PARITY_TABLE = [
     *[pytest.param(_SUBMIT_2 + _entry(3, "ended", job_id=1, state="CA", **fields),
                    ("corrupt", 3), id=f"cancel with {fields}")
       for fields in ({"exit_code": "zero"}, {"exit_code": True}, {"reason": 5})],
+    *[pytest.param(_entry(2, "submitted", job_id=1, spec={**_SPEC, **fields},
+                          submit_dir="/tmp"), ("corrupt", 2), id=f"spec with {fields}")
+      for fields in ({"nodes": 0}, {"features": ["GPU"]},
+                     {"merge_stderr": True, "stderr_template": "%x.e%j"})],
     # A null field is an absent one.
     pytest.param(_entry(2, "submitted", job_id=1, spec={**_SPEC, "features": None},
                         submit_dir="/tmp"), ("ok", 2), id="null features"),

@@ -34,6 +34,11 @@ def test_data_frame_line_is_the_json_encoding(size):
     assert protocol.decode_data_frame(frame) == chunk
 
 
+def test_message_that_is_not_an_object_is_a_protocol_error():
+    with pytest.raises(ProtocolError, match="must be a JSON object"):
+        protocol.read_message(io.BytesIO(b"[1]\n"))
+
+
 def test_nesting_too_deep_to_decode_is_a_protocol_error():
     with pytest.raises(ProtocolError, match="not valid JSON"):
         protocol.read_message(io.BytesIO(b"[" * 100000 + b"\n"))

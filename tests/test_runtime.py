@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import signal
@@ -27,7 +28,6 @@ from miniq.runtime import (
     RingBuffer,
     SessionRegistry,
     collect_exits,
-    kill_after_grace,
     launch_job,
     poll_walltime,
     terminate,
@@ -124,16 +124,18 @@ class TestWalltime:
         now = time.monotonic()
         assert poll_walltime([job], now) == [job.id]
         terminate(job.proc)
-        dying = [(job.proc, now)]
-        assert kill_after_grace(dying, now + GRACE_SECONDS - 0.1) == dying
+        leaders = {job.proc: (now + GRACE_SECONDS, None)}
+        assert collect_exits(leaders, now + GRACE_SECONDS - 0.1) == []
         time.sleep(0.1)
         assert job.proc.poll() is None  # shrugged off SIGTERM
-        assert wait_until(lambda: kill_after_grace(dying, now + GRACE_SECONDS) == [], 5)
-        assert job.proc.returncode == -signal.SIGKILL
+        assert wait_until(lambda: collect_exits(leaders, now + GRACE_SECONDS), 5) \
+            == [(None, -signal.SIGKILL)]
+        assert job.proc.returncode == -signal.SIGKILL and leaders == {}
 
     def test_collect_exits_kills_background_children(self, tmp_path):
         spec, job = launch(tmp_path, "sleep 30 &\necho $! > child.pid\n")
-        assert wait_until(lambda: collect_exits([job]), 5) == [(1, 0)]
+        leaders = {job.proc: (math.inf, job.id)}
+        assert wait_until(lambda: collect_exits(leaders, time.monotonic()), 5) == [(1, 0)]
         child = int((tmp_path / "child.pid").read_text())
         assert wait_until(lambda: not process_alive(child), 2)
 
@@ -156,7 +158,7 @@ class TestWalltime:
             killpg(pgid, signum)
 
         monkeypatch.setattr(os, "killpg", recording_killpg)
-        assert collect_exits([job]) == [(1, 0)]
+        assert collect_exits({job.proc: (math.inf, job.id)}, time.monotonic()) == [(1, 0)]
         assert sent == [(signal.SIGKILL, "Z")]
         child = int((tmp_path / "child.pid").read_text())
         assert wait_until(lambda: not process_alive(child), 2)
@@ -253,6 +255,13 @@ def py_counter(n: int, delay: float = 0.0) -> list[str]:
     return [sys.executable, "-u", "-c", code]
 
 
+def reap_ended(registry: SessionRegistry) -> list[str]:
+    """Stand in for the daemon's tick: sweep the leaders of the registered
+    live sessions, reaping each that has exited; returns their names."""
+    leaders = {s.proc: (math.inf, s.name) for s in registry._sessions.values() if s.live}
+    return [name for name, _ in collect_exits(leaders, time.monotonic())]
+
+
 class TestSessions:
     def test_create_and_list(self):
         registry = SessionRegistry()
@@ -269,7 +278,7 @@ class TestSessions:
         registry.create("dup", ["sleep", "5"], now=0.0)
         with pytest.raises(DuplicateSession):
             registry.create("dup", ["sleep", "5"], now=1.0)
-        terminate(registry.kill("dup")[0])
+        terminate(registry.kill("dup").proc)
 
     def test_empty_command_rejected(self):
         with pytest.raises(InvalidCommand):
@@ -305,7 +314,7 @@ class TestSessions:
         registry.detach(attachment)  # a second detach changes nothing
         assert session.attachments == [other]
         assert attachment.end_reason == "detached" and other.end_reason is None
-        terminate(registry.kill("stayalive")[0])
+        terminate(registry.kill("stayalive").proc)
 
     def test_detach_after_the_stream_ended_changes_nothing(self):
         registry = SessionRegistry()
@@ -331,7 +340,7 @@ class TestSessions:
     def test_kill_removes_session(self):
         registry = SessionRegistry()
         registry.create("doomed", ["sleep", "30"], now=0.0)
-        terminate(registry.kill("doomed")[0])
+        terminate(registry.kill("doomed").proc)
         with pytest.raises(UnknownSession):
             registry.attach("doomed")
         with pytest.raises(UnknownSession):
@@ -342,7 +351,7 @@ class TestSessions:
         registry.create("victim", ["sleep", "30"], now=0.0)
         attachment = registry.attach("victim")
         assert attachment.read(timeout=0.01) == b""  # live and quiet: timed out
-        terminate(registry.kill("victim")[0])
+        terminate(registry.kill("victim").proc)
         assert b"".join(stream(attachment)) == b""
         assert attachment.end_reason == "killed"
         assert attachment.read(timeout=0.01) is None
@@ -446,7 +455,7 @@ class TestSessions:
         session = registry.create("stalled", ["head", "-c", "100000", "/dev/zero"], now=0.0)
         attachment = registry.attach("stalled")
         assert wait_until(lambda: len(session.ring) == 1024, 5)
-        terminate(registry.kill("stalled")[0])
+        terminate(registry.kill("stalled").proc)
         assert not wait_until(lambda: not session.streaming, 0.5)  # waits for the reader
         registry.detach(attachment)
         assert attachment.read(timeout=1) is None
@@ -476,7 +485,7 @@ class TestSessions:
         registry.create("reuse", py_counter(1), now=0.0)
         with pytest.raises(DuplicateSession):  # until its leader is reaped
             registry.create("reuse", py_counter(2), now=1.0)
-        assert wait_until(lambda: registry.reap_ended() == ["reuse"], 5)
+        assert wait_until(lambda: reap_ended(registry) == ["reuse"], 5)
         registry.create("reuse", py_counter(2), now=1.0)
         rows = [row for row in registry.rows() if row["name"] == "reuse"]
         assert len(rows) == 1 and rows[0]["live"] is True
@@ -488,7 +497,7 @@ class TestSessions:
         assert wait_until(lambda: not session.streaming, 5)
         child = int(ring_bytes(session))
         assert process_alive(child)
-        assert wait_until(lambda: registry.reap_ended() == ["leaves_child"], 5)
+        assert wait_until(lambda: reap_ended(registry) == ["leaves_child"], 5)
         assert wait_until(lambda: not process_alive(child), 2)
 
     def test_ended_sessions_close_their_pipes(self):
@@ -508,9 +517,9 @@ class TestSessions:
         registry = SessionRegistry()
         session = registry.create("brief", py_counter(1), now=0.0)
         registry.create("running", ["sleep", "30"], now=0.0)
-        assert wait_until(lambda: registry.reap_ended() == ["brief"], 5)
+        assert wait_until(lambda: reap_ended(registry) == ["brief"], 5)
         assert session.proc.returncode == 0 and not session.live
-        assert registry.reap_ended() == []
+        assert reap_ended(registry) == []
         assert [(row["name"], row["live"]) for row in registry.rows()] \
             == [("brief", False), ("running", True)]
 
@@ -523,5 +532,5 @@ class TestSessions:
         attachment = registry.attach("quiet")
         assert b"".join(stream(attachment)) == b"hi\n"
         assert attachment.end_reason == "exit"
-        assert session.live and registry.reap_ended() == []
+        assert session.live and reap_ended(registry) == []
         assert registry.attach("quiet").end_reason == "exit"
